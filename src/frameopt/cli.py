@@ -26,6 +26,7 @@ from frameopt.local import NlpConfig, OcConfig, run_local_nlp, run_oc
 from frameopt.model import GroundStructure, ModelError
 from frameopt.moments import (
     HierarchyConfig,
+    HierarchyResult,
     build_relaxation,
     gap_certificate,
     rank_certificate,
@@ -178,7 +179,7 @@ def run_method(gs: GroundStructure, method: str,
                 gap=None if last is None or not math.isfinite(last.gap)
                     else last.gap,
                 lower=hr.lower if math.isfinite(hr.lower) else None,
-                orders=[c.report() for c in hr.certificates],
+                orders=_order_rows(hr),
             )
         else:
             runner = {"oc": run_oc, "nlp": run_local_nlp,
@@ -200,6 +201,19 @@ def run_method(gs: GroundStructure, method: str,
                             message=str(exc))
     _verify(gs, out)
     return out
+
+
+def _order_rows(hr: HierarchyResult) -> list[dict]:
+    """Certificate rows, each with the SDP outcome of its order."""
+    by_order = {o["r"]: o for o in hr.diagnostics["orders"]}
+    rows = []
+    for cert in hr.certificates:
+        o = by_order[cert.order]
+        rows.append({**cert.report(), "sdp_status": o["status"],
+                     "sdp_reason": o["reason"],
+                     "sdp_iterations": o["sdp_iterations"],
+                     "n_moments": o["n_moments"]})
+    return rows
 
 
 def _verify(gs: GroundStructure, result: MethodResult) -> None:

@@ -521,7 +521,9 @@ def run_hierarchy(gs: GroundStructure,
         diag["orders"].append({"r": r, "status": rsol.status,
                                "reason": rsol.sdp.diagnostics["reason"],
                                "sdp_iterations": rsol.sdp.iterations,
-                               "n_moments": rel.n_moments})
+                               "n_moments": rel.n_moments,
+                               "phase_s": rsol.sdp.diagnostics["phase_s"],
+                               "schur_gflop": rsol.sdp.diagnostics["schur_gflop"]})
         if rsol.status not in _OK_STATUS:
             certs.append(Certificate(r, math.nan, math.inf, math.nan, "failed"))
             continue

@@ -20,7 +20,11 @@ The solver follows the scaled Mehrotra predictor-corrector recipe: Nesterov-
 Todd scaling points are computed per block from Cholesky factors of S and Z
 through one SVD, which renders the scaled pair jointly diagonal.  The
 linearized complementarity equation then reduces to an elementwise divide,
-and each step costs one dense Schur-complement assembly and factorization.
+and each step costs one Schur-complement build and one dense factorization.
+The build follows Fujisawa, Kojima & Nakata (Math. Prog. 79, 1997): each
+block picks, from its size and the entries per variable, between one product
+over the whole block and products over the distinct rows of each A_v,
+contracted on the positions the block uses (see _BlockData).
 Infeasibility and unboundedness are reported through divergence heuristics,
 not certificates.
 """
@@ -28,6 +32,7 @@ not certificates.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +46,8 @@ class SdpError(ValueError):
 
 SYM_RTOL = 1e-12        # relative symmetry check on input matrices
 RANK_TOL = 1e-10        # QR tolerance for the full-row-rank check on E
+SCHUR_CHUNK_BYTES = 2 ** 20  # largest dense temporary of the Schur build, cache-sized
+SCHUR_CALL_FLOPS = 1e5       # overhead of one per-variable product, counted in flops
 
 
 def _as_symmetric(mat: np.ndarray, what: str) -> np.ndarray:
@@ -106,10 +113,10 @@ class SdpBlock:
                    np.array(col, int), np.array(val, float))
 
     def coefficient(self, i: int) -> np.ndarray:
-        """Dense A_i."""
+        """Dense A_i; duplicate entries add up."""
         mask = self.var == i
         mat = np.zeros((self.n, self.n))
-        mat[self.row[mask], self.col[mask]] = self.val[mask]
+        np.add.at(mat, (self.row[mask], self.col[mask]), self.val[mask])
         return mat + np.triu(mat, 1).T
 
 
@@ -191,62 +198,115 @@ class KktReport:
 
 
 class _BlockData:
-    """Runtime view of a block: scaled pencil, flat operators, per-var slices."""
+    """Runtime view of a block: scaled pencil, used positions, Schur kernel.
+
+    The upper-triangle entries are mirrored and coalesced into `op`, whose
+    row i is A_i flattened.  The Schur rows <A_i, W A_v W> come from one of
+    two kernels, whichever the block's size and entries per variable make
+    cheaper:
+
+    - whole block: S (W kron W) S' in two sparse products, S the rows of
+      `op` of the supported variables; only for n small enough that the n^4
+      Kronecker entries fit in SCHUR_CHUNK_BYTES;
+    - distinct rows: W A_v W = W[:, R_v] (A_v[R_v, R_v] W[R_v, :]) over the
+      rows R_v that A_v uses, 2 n^2 |R_v| flops, gathered at the positions
+      U of the upper triangle that some entry uses, for a chunk of
+      variables, and contracted by one sparse product per chunk with `op`
+      restricted to U, off-diagonal entries counted twice.  Each variable
+      costs a few Python-level calls, priced at SCHUR_CALL_FLOPS.
+
+    W A_v W is symmetric, so neither kernel symmetrises it per variable; the
+    solver symmetrises the assembled Schur matrix once.
+    """
 
     def __init__(self, blk: SdpBlock, m: int):
-        self.n = blk.n
+        n = self.n = blk.n
         # Mirror the upper triangle so every stored matrix is fully populated.
         off = blk.row != blk.col
         var = np.concatenate([blk.var, blk.var[off]])
         row = np.concatenate([blk.row, blk.col[off]])
         col = np.concatenate([blk.col, blk.row[off]])
         val = np.concatenate([blk.val, blk.val[off]])
-        # Coalesce duplicate (var, row, col) triplets so the Schur kernels can
-        # assume each position appears once per variable.
+        # Coalesce duplicate (var, row, col) triplets; the result is sorted by
+        # variable, then position.
         if var.size:
-            key = (var * blk.n + row) * blk.n + col
+            key = (var * n + row) * n + col
             uniq, inverse = np.unique(key, return_inverse=True)
             val = np.bincount(inverse, weights=val, minlength=uniq.size)
-            col = uniq % blk.n
-            row = (uniq // blk.n) % blk.n
-            var = uniq // (blk.n * blk.n)
+            col = uniq % n
+            row = (uniq // n) % n
+            var = uniq // (n * n)
         norms = np.sqrt(np.bincount(var, val * val, minlength=m)) if var.size else np.zeros(m)
         self.scale = max(1.0, np.linalg.norm(blk.c), norms.max() if m else 1.0)
         val = val / self.scale
         self.c = blk.c / self.scale
-        self.var = var
-        self.row = row
-        self.col = col
-        self.val = val
-        self.support = np.unique(self.var)
-        self.ptr = np.searchsorted(self.var, np.arange(m + 1))
-        self.opmat = scipy.sparse.csr_matrix(
-            (self.val, (self.var, self.row * self.n + self.col)), shape=(m, self.n * self.n))
+        pos = row * n + col
+        self.op = scipy.sparse.csr_matrix((val, (var, pos)), shape=(m, n * n))
+        upper = row <= col
+        self.upper, upper_idx = np.unique(pos[upper], return_inverse=True)
+        self.op_upper = scipy.sparse.csr_matrix(
+            (np.where(row < col, 2.0, 1.0)[upper] * val[upper], (var[upper], upper_idx)),
+            shape=(m, self.upper.size))
+
+        sup = self.support = np.unique(var)
+        self.rows, self.coef = [], []
+        bounds = np.searchsorted(var, sup)
+        for lo, hi in zip(bounds, np.append(bounds[1:], var.size)):
+            rows = np.unique(row[lo:hi])
+            coef = np.zeros((rows.size, rows.size))
+            coef[np.searchsorted(rows, row[lo:hi]), np.searchsorted(rows, col[lo:hi])] = val[lo:hi]
+            self.rows.append(rows)
+            self.coef.append(coef)
+        n_rows = np.array([r.size for r in self.rows], dtype=float)
+        distinct = float(np.sum(2.0 * n * n * n_rows + 2.0 * n * n_rows ** 2)) \
+            + 2.0 * self.op_upper.nnz * sup.size
+        whole = float(n) ** 4 + 2.0 * val.size * (n * n + sup.size)
+        self.sub = None
+        self.flops = distinct
+        if 8.0 * n ** 4 <= SCHUR_CHUNK_BYTES and whole <= distinct + SCHUR_CALL_FLOPS * sup.size:
+            self.sub = self.op[sup]
+            self.flops = whole
+        self.chunk = max(1, SCHUR_CHUNK_BYTES // (8 * max(self.upper.size, 1)))
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """A(y) as a dense symmetric matrix (scaled data)."""
-        return np.asarray(self.opmat.T @ y).reshape(self.n, self.n)
+        return np.asarray(self.op.T @ y).reshape(self.n, self.n)
 
     def adjoint(self, z: np.ndarray) -> np.ndarray:
         """Vector of <A_i, Z> for all i (scaled data)."""
-        return np.asarray(self.opmat @ z.ravel())
+        return np.asarray(self.op @ z.ravel())
 
-    def schur_accumulate(self, minv: np.ndarray, out: np.ndarray) -> None:
-        """out[:, v] += <A_i, Winv A_v Winv> for every supported variable v."""
-        n = self.n
-        dense_cost_cutoff = 2 * n
-        for v in self.support:
-            lo, hi = self.ptr[v], self.ptr[v + 1]
-            if hi - lo < dense_cost_cutoff:
-                left = minv[:, self.row[lo:hi]] * self.val[lo:hi]
-                t = left @ minv[self.col[lo:hi], :]
-                t = 0.5 * (t + t.T)
-            else:
-                a_v = np.zeros((n, n))
-                a_v[self.row[lo:hi], self.col[lo:hi]] = self.val[lo:hi]
-                t = minv @ a_v @ minv
-                t = 0.5 * (t + t.T)
-            out[:, v] += self.opmat @ t.ravel()
+    def schur_accumulate(self, winv: np.ndarray, out: np.ndarray) -> None:
+        """out[v, i] += <A_i, Winv A_v Winv> for every supported variable v."""
+        sup = self.support
+        if self.sub is not None:
+            n = self.n
+            kron = (winv[:, None, :, None] * winv[None, :, None, :]).reshape(n * n, n * n)
+            out[np.ix_(sup, sup)] += self.sub @ (self.sub @ kron).T
+            return
+        g = np.empty((self.upper.size, self.chunk))
+        for lo in range(0, sup.size, self.chunk):
+            hi = min(lo + self.chunk, sup.size)
+            for j, (rows, coef) in enumerate(zip(self.rows[lo:hi], self.coef[lo:hi])):
+                g[:, j] = (winv[:, rows] @ (coef @ winv[rows, :])).ravel()[self.upper]
+            out[sup[lo:hi]] += (self.op_upper @ g[:, :hi - lo]).T
+
+
+class _PhaseClock:
+    """Wall time per solver phase; elapsed time goes to the phase started last."""
+
+    PHASES = ("scaling", "schur", "factor", "step", "metrics")
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(self.PHASES, 0.0)
+        self._phase: str | None = None
+        self._since = time.perf_counter()
+
+    def start(self, phase: str | None) -> None:
+        now = time.perf_counter()
+        if self._phase is not None:
+            self.seconds[self._phase] += now - self._since
+        self._phase, self._since = phase, now
 
 
 def _max_step(chol_lower: np.ndarray, delta: np.ndarray) -> float:
@@ -295,9 +355,11 @@ def solve_sdp(p: SdpProblem, cfg: SdpConfig | None = None) -> SdpSolution:
     status = "numerical-failure"
     reason = "iteration limit"
     iterations = 0
+    clock = _PhaseClock()
 
     for it in range(1, cfg.max_iter + 1):
         iterations = it
+        clock.start("metrics")
         # Residuals of S = A(y) - C, Ey = d, A'(Z) + E'nu = b; a full Newton
         # step with ds = A(dy) - rp etc. zeroes all three.
         rp = [bd.c + s - bd.apply(y) for bd, s in zip(blocks, s_mats)]
@@ -345,6 +407,7 @@ def solve_sdp(p: SdpProblem, cfg: SdpConfig | None = None) -> SdpSolution:
         # Late iterates of degenerate problems can drop positive definiteness
         # to roundoff; that ends the run on the best iterate seen so far.
         try:
+            clock.start("scaling")
             factors = []
             for s, z in zip(s_mats, z_mats):
                 ls = _chol(s)
@@ -357,10 +420,12 @@ def solve_sdp(p: SdpProblem, cfg: SdpConfig | None = None) -> SdpSolution:
                 winv = ginv.T @ ginv
                 factors.append((ls, lz, g, ginv, winv, sig))
 
+            clock.start("schur")
             schur = np.zeros((m, m))
             for bd, (_, _, _, _, winv, _) in zip(blocks, factors):
                 bd.schur_accumulate(winv, schur)
             schur = 0.5 * (schur + schur.T)
+            clock.start("factor")
             try:
                 schur_f = cho_factor(schur, lower=True, check_finite=False)
             except LinAlgError:
@@ -385,6 +450,7 @@ def solve_sdp(p: SdpProblem, cfg: SdpConfig | None = None) -> SdpSolution:
                       for (_, _, _, _, winv, _), n_mat, ds_k in zip(factors, n_mats, ds)]
                 return dy, dnu, ds, dz
 
+            clock.start("step")
             # Predictor: target sym(V dZ~ + dS~ V) = -V^2, whose unscaled N is -Z.
             dy_a, dnu_a, ds_a, dz_a = newton([-z for z in z_mats])
             alpha_pa = min(1.0, min(_max_step(f[0], d) for f, d in zip(factors, ds_a)))
@@ -427,6 +493,7 @@ def solve_sdp(p: SdpProblem, cfg: SdpConfig | None = None) -> SdpSolution:
         else:
             stall = 0
 
+    clock.start(None)
     y_best, nu_best, z_best, met = best if best is not None else (y, nu, z_mats, metrics)
     if status not in ("optimal", "unbounded", "infeasible"):
         if _is_within(met, cfg.tol_feas, cfg.tol_gap):
@@ -446,7 +513,9 @@ def solve_sdp(p: SdpProblem, cfg: SdpConfig | None = None) -> SdpSolution:
         y=y_best, nu=nu_out, z=z_out,
         objective=met["objective"], dual_objective=met["dual_objective"],
         gap=met["gap"], rel_gap=met["rel_gap"], status=status, iterations=iterations,
-        diagnostics={"history": history, "reason": reason, "best_score": best_score},
+        diagnostics={"history": history, "reason": reason, "best_score": best_score,
+                     "phase_s": clock.seconds,
+                     "schur_gflop": sum(bd.flops for bd in blocks) / 1e9},
     )
 
 
@@ -532,97 +601,3 @@ def check_kkt(p: SdpProblem, sol: SdpSolution) -> KktReport:
         dual_min_eigs=tuple(dual_eigs),
     )
 
-
-# -- debug dump ---------------------------------------------------------------
-
-DUMP_HEADER = "sdp 1"
-
-
-def dump_problem(p: SdpProblem) -> str:
-    """Serialize to a line-oriented text format for external cross-checks.
-
-    Lines:
-        sdp 1
-        vars <m>
-        minimize <i> <value>            one per nonzero of b (1-based i)
-        block <k> <n>                   one per block, in order (1-based k)
-        entry <k> <i> <j> <v> <value>   upper-triangle nonzero; v=0 means C,
-                                        otherwise the 1-based variable index
-        eq <r> <i> <value>              one per nonzero of E (1-based r, i)
-        rhs <r> <value>                 one per nonzero of d
-    """
-    out = [DUMP_HEADER, f"vars {p.m}"]
-    for i in np.nonzero(p.b)[0]:
-        out.append(f"minimize {i + 1} {float(p.b[i])!r}")
-    for k, blk in enumerate(p.blocks, start=1):
-        out.append(f"block {k} {blk.n}")
-        rows, cols = np.nonzero(np.triu(blk.c))
-        for i, j in zip(rows, cols):
-            out.append(f"entry {k} {i + 1} {j + 1} 0 {float(blk.c[i, j])!r}")
-        for v, i, j, val in zip(blk.var, blk.row, blk.col, blk.val):
-            out.append(f"entry {k} {i + 1} {j + 1} {v + 1} {float(val)!r}")
-    for r, i in zip(*np.nonzero(p.e)):
-        out.append(f"eq {r + 1} {i + 1} {float(p.e[r, i])!r}")
-    for r in np.nonzero(p.d)[0]:
-        out.append(f"rhs {r + 1} {float(p.d[r])!r}")
-    return "\n".join(out) + "\n"
-
-
-def parse_problem(text: str) -> SdpProblem:
-    """Inverse of dump_problem."""
-    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
-    if not lines or " ".join(lines[0]) != DUMP_HEADER:
-        raise SdpError("missing dump header")
-    m = None
-    b = None
-    block_sizes: dict[int, int] = {}
-    entries: list[tuple[int, int, int, int, float]] = []
-    eq_entries: list[tuple[int, int, float]] = []
-    rhs_entries: list[tuple[int, float]] = []
-    for parts in lines[1:]:
-        tag = parts[0]
-        if tag == "vars":
-            m = int(parts[1])
-            b = np.zeros(m)
-        elif tag == "minimize":
-            b[int(parts[1]) - 1] = float(parts[2])
-        elif tag == "block":
-            block_sizes[int(parts[1])] = int(parts[2])
-        elif tag == "entry":
-            k, i, j, v = (int(x) for x in parts[1:5])
-            entries.append((k, i - 1, j - 1, v - 1, float(parts[5])))
-        elif tag == "eq":
-            eq_entries.append((int(parts[1]) - 1, int(parts[2]) - 1, float(parts[3])))
-        elif tag == "rhs":
-            rhs_entries.append((int(parts[1]) - 1, float(parts[2])))
-        else:
-            raise SdpError(f"unknown dump line tag {tag!r}")
-    if m is None:
-        raise SdpError("dump lacks a vars line")
-    blocks = []
-    for k in sorted(block_sizes):
-        n = block_sizes[k]
-        c = np.zeros((n, n))
-        var, row, col, val = [], [], [], []
-        for bk, i, j, v, value in entries:
-            if bk != k:
-                continue
-            if v < 0:
-                c[i, j] = value
-                c[j, i] = value
-            else:
-                var.append(v)
-                row.append(i)
-                col.append(j)
-                val.append(value)
-        blocks.append(SdpBlock(n, c, np.array(var, int), np.array(row, int),
-                               np.array(col, int), np.array(val, float)))
-    n_eq = 1 + max((r for r, _, _ in eq_entries), default=-1)
-    n_eq = max(n_eq, 1 + max((r for r, _ in rhs_entries), default=-1))
-    e = np.zeros((n_eq, m))
-    d = np.zeros(n_eq)
-    for r, i, value in eq_entries:
-        e[r, i] = value
-    for r, value in rhs_entries:
-        d[r] = value
-    return SdpProblem(b=b, blocks=blocks, e=e, d=d)

@@ -174,6 +174,13 @@ def test_run_method_po_reports_orders():
     assert len(result.orders) == 1
     assert result.gap == pytest.approx(44.9, rel=0.05)
     assert result.lower == pytest.approx(35.81, rel=0.02)
+    row = result.orders[0]
+    assert row["r"] == 1 and row["c_lower"] == pytest.approx(result.lower)
+    assert row["sdp_status"] in ("optimal", "near-optimal")
+    assert isinstance(row["sdp_reason"], str) and row["sdp_reason"]
+    assert row["sdp_iterations"] > 0
+    assert row["n_moments"] == 15  # monomials of degree <= 2 in 4 variables
+    json.dumps(result.to_dict())
 
 
 def test_run_benchmark_respects_case_methods():

@@ -291,7 +291,10 @@ def test_hierarchy_records_solver_failure(cantilever3):
     assert res.status == "failed"
     assert res.certificates[0].verdict == "failed"
     assert math.isnan(res.certificates[0].lower)
-    assert res.diagnostics["orders"][0]["reason"] == "iteration limit"
+    order = res.diagnostics["orders"][0]
+    assert order["reason"] == "iteration limit"
+    assert set(order["phase_s"]) == {"scaling", "schur", "factor", "step", "metrics"}
+    assert order["schur_gflop"] > 0.0
     assert res.areas is None and res.compliance is None
 
 

@@ -3,14 +3,15 @@
 import numpy as np
 import pytest
 
+from frameopt.moments import _substitute_y0, build_relaxation, scale_problem
+from frameopt.problems import cantilever
 from frameopt.sdp import (
     SdpBlock,
     SdpConfig,
     SdpError,
     SdpProblem,
+    _BlockData,
     check_kkt,
-    dump_problem,
-    parse_problem,
     solve_sdp,
 )
 
@@ -185,7 +186,7 @@ def test_kkt_perturbation_monotonicity():
     assert report.primal_residual > 10 * base.primal_residual
 
 
-# -- validation and dump format -------------------------------------------------
+# -- validation ----------------------------------------------------------------
 
 def test_rejects_asymmetric_matrix():
     with pytest.raises(SdpError, match="symmetric"):
@@ -206,17 +207,91 @@ def test_rejects_variable_out_of_range():
                                     np.array([0]), np.array([0]), np.array([1.0]))])
 
 
-def test_dump_round_trip():
-    p, _ = constructed_problem(rng(17), with_equalities=True)
-    text = dump_problem(p)
-    q = parse_problem(text)
-    assert np.array_equal(q.b, p.b)
-    assert np.array_equal(q.e, p.e)
-    assert np.array_equal(q.d, p.d)
-    assert len(q.blocks) == len(p.blocks)
-    for bp, bq in zip(p.blocks, q.blocks):
-        assert bq.n == bp.n
-        assert np.array_equal(bq.c, bp.c)
-        for i in range(p.m):
-            assert np.array_equal(bq.coefficient(i), bp.coefficient(i))
-    assert solve_sdp(q).objective == pytest.approx(solve_sdp(p).objective, rel=1e-9)
+# -- Schur-complement kernels ---------------------------------------------------
+
+def brute_schur(blk, m, winv):
+    """<A_i, W A_v W> for all i, v from the dense coefficients, in the scaled data."""
+    scale = _BlockData(blk, m).scale
+    mats = np.array([blk.coefficient(i) / scale for i in range(m)])
+    t = winv @ mats @ winv
+    return mats.reshape(m, -1) @ t.reshape(m, -1).T
+
+
+def kernel_results(blk, m, winv):
+    """The Schur rows from the kernel the block picks, then from the
+    distinct-row kernel in chunks of two variables."""
+    bd = _BlockData(blk, m)
+    out = np.zeros((m, m))
+    bd.schur_accumulate(winv, out)
+    yield out
+    bd.sub, bd.chunk = None, 2
+    out = np.zeros((m, m))
+    bd.schur_accumulate(winv, out)
+    yield out
+
+
+def assert_schur_matches(blk, m, gen):
+    q = gen.normal(size=(blk.n, blk.n))
+    winv = q @ q.T + np.eye(blk.n)
+    want = brute_schur(blk, m, winv)
+    for got in kernel_results(blk, m, winv):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def random_block(gen, n, m, n_entries):
+    row = gen.integers(0, n, n_entries)
+    col = gen.integers(0, n, n_entries)
+    return SdpBlock(n, np.zeros((n, n)), gen.integers(0, m, n_entries),
+                    np.minimum(row, col), np.maximum(row, col),
+                    gen.normal(size=n_entries))
+
+
+def test_schur_random_blocks_with_duplicates():
+    gen = rng(19)
+    for n, m, n_entries in ((4, 3, 30), (7, 6, 60), (12, 5, 40)):
+        blk = random_block(gen, n, m, n_entries)
+        key = (blk.var * n + blk.row) * n + blk.col
+        assert np.unique(key).size < key.size  # duplicates present
+        assert_schur_matches(blk, m, gen)
+
+
+def test_schur_special_variables():
+    # Variable 0 sits on the diagonal only, variable 1 fills the upper
+    # triangle (k = n^2 >= 2n once mirrored), variable 2 appears nowhere and
+    # variable 3 shares a position with variable 0.
+    n, m = 6, 4
+    gen = rng(23)
+    r_up, c_up = np.triu_indices(n)
+    var = np.concatenate([np.zeros(n, int), np.ones(r_up.size, int), [3]])
+    row = np.concatenate([np.arange(n), r_up, [2]])
+    col = np.concatenate([np.arange(n), c_up, [2]])
+    blk = SdpBlock(n, np.zeros((n, n)), var, row, col, gen.normal(size=var.size))
+    assert_schur_matches(blk, m, gen)
+    bd = _BlockData(blk, m)
+    out = np.zeros((m, m))
+    bd.schur_accumulate(np.eye(n), out)
+    assert not np.any(out[2]) and not np.any(out[:, 2])
+
+
+def test_schur_one_by_one_block():
+    blk = SdpBlock(1, np.array([[0.5]]), np.array([0, 2, 2]), np.zeros(3, int),
+                   np.zeros(3, int), np.array([1.0, -2.0, 0.5]))
+    assert_schur_matches(blk, 3, rng(29))
+
+
+def test_schur_moment_relaxation_blocks():
+    p = _substitute_y0(build_relaxation(scale_problem(cantilever(3)), 2).problem)
+    kernels = {_BlockData(blk, p.m).sub is None for blk in p.blocks}
+    assert kernels == {True, False}  # both kernels are exercised
+    gen = rng(31)
+    for blk in p.blocks:
+        assert_schur_matches(blk, p.m, gen)
+
+
+def test_solver_reports_phase_times_and_schur_flops():
+    p, _ = constructed_problem(rng(5))
+    sol = solve_sdp(p)
+    phases = sol.diagnostics["phase_s"]
+    assert set(phases) == {"scaling", "schur", "factor", "step", "metrics"}
+    assert all(t >= 0.0 for t in phases.values()) and phases["schur"] > 0.0
+    assert sol.diagnostics["schur_gflop"] > 0.0
