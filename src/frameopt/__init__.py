@@ -21,10 +21,6 @@ from frameopt.model import (
     Node,
     SelfWeight,
     Support,
-    assemble_loads,
-    assemble_stiffness,
-    assembly_derivatives,
-    element_stiffness,
     require_valid,
     uniform_design,
     validate,
@@ -49,7 +45,6 @@ from frameopt.nsdp import (
     NsdpConfig,
     SchurCheck,
     build_compliance_lmi,
-    build_stiffness_lmi,
     check_schur_equivalence,
     run_nsdp_local,
 )

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from frameopt.analysis import SingularSystemError, compliance, compliance_gradient
-from frameopt.model import FrameAssembly, GroundStructure, require_valid, uniform_design
+from frameopt.model import GroundStructure, require_valid, uniform_design
 
 
 class BracketError(RuntimeError):
@@ -28,7 +28,6 @@ class OcConfig:
     tol: float = 1e-4          # on max |b_i - 1| over active elements
     volume_rtol: float = 1e-9  # bisection target on |l'a - Vbar|
     mu_span: float = 1e12      # bracket half-width factor around the mu estimate
-    upper_move_limit: bool = False  # optional (1+zeta) clamp, off by default
 
 
 @dataclass
@@ -68,10 +67,7 @@ def oc_b_factors(numerators: np.ndarray, lengths: np.ndarray, mu: float) -> np.n
 
 def oc_step(a: np.ndarray, b: np.ndarray, cfg: OcConfig) -> np.ndarray:
     """a_i' = max{max{(1-zeta) a_i, eps}, a_i b_i^eta}."""
-    trial = a * b**cfg.eta
-    if cfg.upper_move_limit:
-        trial = np.minimum(trial, (1.0 + cfg.zeta) * a)
-    return np.maximum(np.maximum((1.0 - cfg.zeta) * a, cfg.eps), trial)
+    return np.maximum(np.maximum((1.0 - cfg.zeta) * a, cfg.eps), a * b**cfg.eta)
 
 
 def oc_bisect_mu(a: np.ndarray, numerators: np.ndarray, lengths: np.ndarray,
@@ -113,8 +109,7 @@ def oc_bisect_mu(a: np.ndarray, numerators: np.ndarray, lengths: np.ndarray,
 def run_oc(gs: GroundStructure, cfg: OcConfig | None = None) -> LocalResult:
     """Optimality-criteria iteration from the uniform design."""
     cfg = cfg or OcConfig()
-    require_valid(gs)
-    asm = FrameAssembly(gs)
+    asm = require_valid(gs)
     lengths = asm.lengths
     vbar = gs.volume_bound
     if cfg.eps * np.sum(lengths) > vbar:
@@ -178,8 +173,7 @@ def run_local_nlp(gs: GroundStructure, cfg: NlpConfig | None = None) -> LocalRes
     at KKT points of the nested problem.
     """
     cfg = cfg or NlpConfig()
-    require_valid(gs)
-    asm = FrameAssembly(gs)
+    asm = require_valid(gs)
     lengths = asm.lengths
     vbar = gs.volume_bound
     if cfg.eps * np.sum(lengths) > vbar:

@@ -132,6 +132,7 @@ class ValidationReport:
     errors: list[str]
     mechanism: bool = False
     n_free_dof: int = 0
+    assembly: FrameAssembly | None = None   # the validated structure's, when ok
 
     def message(self) -> str:
         return "; ".join(self.errors) if self.errors else "ok"
@@ -220,6 +221,8 @@ class FrameAssembly:
     Splits every element stiffness into the two global patterns
     K_e(a) = a * ka_e + a**2 * kb_e and every load vector into
     f(a) = f0 + sum_i a_i * f1_i, which is all downstream code needs.
+    The stiffness is assembled directly on the support-reduced DOF set
+    ``free``; load vectors stay full-length, indexed by global DOF.
     """
 
     def __init__(self, gs: GroundStructure):
@@ -269,16 +272,27 @@ class FrameAssembly:
             self.ka[k] = el.young_modulus * rot.T @ _local_axial(length) @ rot
             self.kb[k] = el.young_modulus * el.c_i * rot.T @ _local_bending(length) @ rot
 
-        self.fixed = np.zeros(self.n_dof, dtype=bool)
         if not gs.supports:
             raise ModelError("structure has no supports")
+        fixed = np.zeros(self.n_dof, dtype=bool)
         for sup in gs.supports:
             if sup.node not in node_index:
                 raise ModelError(f"support references unknown node {sup.node}")
             base = 3 * node_index[sup.node]
             for j, flag in enumerate((sup.ux, sup.uy, sup.rot)):
                 if flag:
-                    self.fixed[base + j] = True
+                    fixed[base + j] = True
+        # The support-reduced model: global indices of the free DOFs, each
+        # element DOF's position among them (-1 = supported), and the flat
+        # position in the reduced K of every element entry it keeps.
+        self.free = np.flatnonzero(~fixed)
+        position = np.full(self.n_dof, -1)
+        position[self.free] = np.arange(self.free.size)
+        self.reduced_dofs = position[self.dofs]
+        rows = self.reduced_dofs[:, :, None]
+        cols = self.reduced_dofs[:, None, :]
+        self._kept = (rows >= 0) & (cols >= 0)
+        self._scatter = (rows * self.free.size + cols)[self._kept]
 
         element_pos = {el.id: k for k, el in enumerate(gs.elements)}
         self.f0 = np.zeros(self.n_dof)
@@ -340,11 +354,20 @@ class FrameAssembly:
         return a
 
     def stiffness(self, a: np.ndarray) -> np.ndarray:
+        """Support-reduced K(a), rows and columns ordered as ``free``."""
         a = self._check_design(a)
         ke = self.ka * a[:, None, None] + self.kb * (a * a)[:, None, None]
-        K = np.zeros((self.n_dof, self.n_dof))
-        np.add.at(K, (self.dofs[:, :, None], self.dofs[:, None, :]), ke)
-        return K
+        n = self.free.size
+        return np.bincount(self._scatter, weights=ke[self._kept],
+                           minlength=n * n).reshape(n, n)
+
+    def stiffness_trace(self, a: np.ndarray) -> float:
+        """Trace of the full K(a), supported DOFs included."""
+        a = self._check_design(a)
+        diag = (np.diagonal(self.ka, axis1=1, axis2=2) * a[:, None]
+                + np.diagonal(self.kb, axis1=1, axis2=2) * (a * a)[:, None])
+        return float(np.sum(np.bincount(self.dofs.ravel(), weights=diag.ravel(),
+                                        minlength=self.n_dof)))
 
     def loads(self, a: np.ndarray) -> np.ndarray:
         a = self._check_design(a)
@@ -352,25 +375,6 @@ class FrameAssembly:
         if self.f1 is not None:
             np.add.at(f, self.dofs, self.f1 * a[:, None])
         return f
-
-    def stiffness_derivative(self, a: np.ndarray, i: int) -> np.ndarray:
-        a = self._check_design(a)
-        self._check_index(i)
-        dK = np.zeros((self.n_dof, self.n_dof))
-        ke = self.ka[i] + 2.0 * a[i] * self.kb[i]
-        dK[np.ix_(self.dofs[i], self.dofs[i])] += ke
-        return dK
-
-    def load_derivative(self, i: int) -> np.ndarray:
-        self._check_index(i)
-        df = np.zeros(self.n_dof)
-        if self.f1 is not None:
-            np.add.at(df, self.dofs[i], self.f1[i])
-        return df
-
-    def _check_index(self, i: int) -> None:
-        if not 0 <= i < self.gs.n_elements:
-            raise ModelError(f"element index {i} out of range")
 
     def element_energies(self, a: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Per-element u'(dK/da_i)u and 2 u'(df/da_i)."""
@@ -386,32 +390,6 @@ class FrameAssembly:
 
     def volume(self, a: np.ndarray) -> float:
         return float(self.lengths @ np.asarray(a, dtype=float))
-
-
-def element_stiffness(gs: GroundStructure, element_id: int, a_i: float) -> np.ndarray:
-    """Global 6x6 stiffness of one element at area a_i."""
-    if not (isinstance(a_i, (int, float)) and math.isfinite(a_i)):
-        raise ModelError("area must be a finite number")
-    if a_i < 0.0:
-        raise ModelError("area must be non-negative")
-    asm = FrameAssembly(gs)
-    for k, el in enumerate(gs.elements):
-        if el.id == element_id:
-            return a_i * asm.ka[k] + a_i**2 * asm.kb[k]
-    raise ModelError(f"unknown element id {element_id}")
-
-
-def assemble_stiffness(gs: GroundStructure, a: np.ndarray) -> np.ndarray:
-    return FrameAssembly(gs).stiffness(a)
-
-
-def assemble_loads(gs: GroundStructure, a: np.ndarray) -> np.ndarray:
-    return FrameAssembly(gs).loads(a)
-
-
-def assembly_derivatives(gs: GroundStructure, a: np.ndarray, i: int) -> tuple[np.ndarray, np.ndarray]:
-    asm = FrameAssembly(gs)
-    return asm.stiffness_derivative(a, i), asm.load_derivative(i)
 
 
 def uniform_design(gs: GroundStructure, assembly: FrameAssembly | None = None) -> np.ndarray:
@@ -443,25 +421,23 @@ def validate(gs: GroundStructure) -> ValidationReport:
     except ModelError as exc:
         return ValidationReport(ok=False, errors=[str(exc)])
 
-    free = ~asm.fixed
-    n_free = int(np.count_nonzero(free))
+    n_free = asm.free.size
     if n_free == 0:
-        return ValidationReport(ok=True, errors=[], n_free_dof=0)
+        return ValidationReport(ok=True, errors=[], n_free_dof=0, assembly=asm)
 
     K = asm.stiffness(uniform_design(gs, asm))
-    Kff = K[np.ix_(free, free)]
-    pivot_floor = 1e-12 * np.trace(Kff)
+    pivot_floor = 1e-12 * np.trace(K)
     try:
-        chol = np.linalg.cholesky(Kff)
+        chol = np.linalg.cholesky(K)
         min_pivot = float(np.min(np.diag(chol)) ** 2)
     except np.linalg.LinAlgError:
         min_pivot = -1.0
     if min_pivot < pivot_floor:
         # Name the dominant DOFs of the zero-energy mode.
-        w, v = np.linalg.eigh(Kff)
+        w, v = np.linalg.eigh(K)
         mode = v[:, 0]
         full = np.zeros(gs.n_dof)
-        full[free] = mode
+        full[asm.free] = mode
         order = np.argsort(-np.abs(full))[:3]
         parts = []
         for idx in order:
@@ -474,12 +450,14 @@ def validate(gs: GroundStructure) -> ValidationReport:
         )
         return ValidationReport(ok=False, errors=errors, mechanism=True, n_free_dof=n_free)
 
-    return ValidationReport(ok=True, errors=[], n_free_dof=n_free)
+    return ValidationReport(ok=True, errors=[], n_free_dof=n_free, assembly=asm)
 
 
-def require_valid(gs: GroundStructure) -> None:
+def require_valid(gs: GroundStructure) -> FrameAssembly:
+    """Validate the structure and return the assembly that was checked."""
     report = validate(gs)
     if not report.ok:
         if report.mechanism:
             raise MechanismError(report.message())
         raise ModelError(report.message())
+    return report.assembly

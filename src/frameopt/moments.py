@@ -178,11 +178,7 @@ def scale_problem(gs: GroundStructure) -> ScaledProblem:
         scalar.append((f"ball-a{i + 1}", {zero: 1.0, _unit(n, 1 + i, 2): -1.0}))
     scalar.append(("ball-c", {zero: 1.0, _unit(n, 0, 2): -1.0}))
 
-    free = ~asm.fixed
-    pos = np.full(asm.n_dof, -1, dtype=int)
-    nf = int(free.sum())
-    pos[free] = np.arange(nf)
-    size = 1 + nf
+    size = 1 + asm.free.size
 
     pmi: dict[Exponent, np.ndarray] = {}
 
@@ -193,14 +189,14 @@ def scale_problem(gs: GroundStructure) -> ScaledProblem:
 
     coeff(zero)[0, 0] += 0.5 * c_hat
     coeff(_unit(n, 0))[0, 0] += 0.5 * c_hat
-    f0 = asm.f0[free]
+    f0 = asm.f0[asm.free]
     coeff(zero)[0, 1:] -= f0
     coeff(zero)[1:, 0] -= f0
 
     for k in range(ne):
-        gd = asm.dofs[k]
-        keep = free[gd]
-        rows = pos[gd[keep]] + 1
+        rd = asm.reduced_dofs[k]
+        keep = rd >= 0
+        rows = rd[keep] + 1
         sk = svec[k]
         if asm.f1 is not None:
             fk = asm.f1[k][keep]

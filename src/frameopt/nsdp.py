@@ -6,14 +6,12 @@ the linear-in-(a, c) constraint
     G(a, c) = [[c, -f(a)'], [-f(a), K(a)]]  >=  0,
 
 by the generalized Schur complement: G >= 0 iff K >= 0, f in range(K) and
-c >= f' pinv(K) f.  When loads do not depend on the design, the same set can
-be written without the compliance variable as K(a) - s f f' >= 0 with
-s = 1/c.  Both constraints live on the support-reduced DOF set so they stay
-well defined for designs with zero areas.
+c >= f' pinv(K) f.  G lives on the support-reduced DOF set, so it stays well
+defined for designs with zero areas.
 
-run_nsdp_local solves the first formulation with an exterior quadratic
-penalty on the negative eigenvalues of G, a log-barrier on the linear
-constraints, and L-BFGS inner iterations.
+run_nsdp_local solves this formulation with an exterior quadratic penalty
+on the negative eigenvalues of G, a log-barrier on the linear constraints,
+and L-BFGS inner iterations.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import scipy.optimize
 from scipy.linalg import eigh, eigvalsh
 
 from frameopt.local import LocalResult
-from frameopt.model import FrameAssembly, GroundStructure, ModelError, require_valid, uniform_design
+from frameopt.model import FrameAssembly, GroundStructure, require_valid, uniform_design
 
 
 class IncompatibleLoadError(ValueError):
@@ -51,58 +49,34 @@ class NsdpConfig:
     c_margin: float = 1.1      # starting compliance variable, times FEM value
 
 
-class _LmiOperator:
-    """Support-reduced assembly of G(a, c) and its directional derivatives."""
+def _lmi(asm: FrameAssembly, a: np.ndarray, c: float) -> np.ndarray:
+    """G(a, c) = [[c, -f'], [-f, K]] on the support-reduced DOF set."""
+    f_hat = asm.loads(a)[asm.free]
+    g = np.empty((1 + f_hat.size, 1 + f_hat.size))
+    g[0, 0] = c
+    g[0, 1:] = -f_hat
+    g[1:, 0] = -f_hat
+    g[1:, 1:] = asm.stiffness(a)
+    return g
 
-    def __init__(self, gs: GroundStructure):
-        self.asm = FrameAssembly(gs)
-        self.idx = np.where(~self.asm.fixed)[0]
-        self.n_free = self.idx.size
-        self.n_e = gs.n_elements
-        # Position of each element DOF inside the reduced vector; -1 = fixed.
-        pos = -np.ones(self.asm.n_dof, dtype=int)
-        pos[self.idx] = np.arange(self.n_free)
-        self.red_dofs = pos[self.asm.dofs]
 
-    def matrix(self, a: np.ndarray, c: float) -> np.ndarray:
-        k_hat = self.asm.stiffness(a)[np.ix_(self.idx, self.idx)]
-        f_hat = self.asm.loads(a)[self.idx]
-        g = np.empty((1 + self.n_free, 1 + self.n_free))
-        g[0, 0] = c
-        g[0, 1:] = -f_hat
-        g[1:, 0] = -f_hat
-        g[1:, 1:] = k_hat
-        return g
-
-    def quadratic_forms(self, a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Per-element v' dK/da_i v and df/da_i . v for a reduced vector v."""
-        full = np.zeros(self.asm.n_dof)
-        full[self.idx] = v
-        ve = full[self.asm.dofs]                                 # (ne, 6)
-        dk = self.asm.ka + 2.0 * a[:, None, None] * self.asm.kb
-        quad = np.einsum("ek,ekl,el->e", ve, dk, ve)
-        if self.asm.f1 is not None:
-            lin = np.einsum("ek,ek->e", self.asm.f1, ve)
-        else:
-            lin = np.zeros(self.n_e)
-        return quad, lin
+def _quadratic_forms(asm: FrameAssembly, a: np.ndarray,
+                     v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-element v' dK/da_i v and df/da_i . v for a reduced vector v."""
+    # A supported DOF (-1 in the map) picks the appended zero.
+    ve = np.append(v, 0.0)[asm.reduced_dofs]                 # (ne, 6)
+    dk = asm.ka + 2.0 * a[:, None, None] * asm.kb
+    quad = np.einsum("ek,ekl,el->e", ve, dk, ve)
+    if asm.f1 is not None:
+        lin = np.einsum("ek,ek->e", asm.f1, ve)
+    else:
+        lin = np.zeros(asm.gs.n_elements)
+    return quad, lin
 
 
 def build_compliance_lmi(gs: GroundStructure, d: np.ndarray, c: float) -> np.ndarray:
     """G(d, c) = [[c, -f'], [-f, K]] on the support-reduced DOF set."""
-    return _LmiOperator(gs).matrix(np.asarray(d, dtype=float), float(c))
-
-
-def build_stiffness_lmi(gs: GroundStructure, d: np.ndarray, s: float) -> np.ndarray:
-    """K(d) - s f f' on the support-reduced DOF set; needs design-independent loads."""
-    op = _LmiOperator(gs)
-    if op.asm.f1 is not None:
-        raise ModelError("stiffness-form LMI requires loads independent of the design "
-                         "(no self-weight)")
-    d = np.asarray(d, dtype=float)
-    k_hat = op.asm.stiffness(d)[np.ix_(op.idx, op.idx)]
-    f_hat = op.asm.loads(d)[op.idx]
-    return k_hat - float(s) * np.outer(f_hat, f_hat)
+    return _lmi(FrameAssembly(gs), np.asarray(d, dtype=float), float(c))
 
 
 @dataclass(frozen=True)
@@ -123,12 +97,12 @@ def check_schur_equivalence(gs: GroundStructure, d: np.ndarray, c: float) -> Sch
     Raises IncompatibleLoadError when f has a component outside range(K),
     where the pseudo-inverse bound is meaningless.
     """
-    op = _LmiOperator(gs)
+    asm = FrameAssembly(gs)
     d = np.asarray(d, dtype=float)
     if np.any(d < 0.0):
         raise ValueError("areas must be non-negative")
-    k_hat = op.asm.stiffness(d)[np.ix_(op.idx, op.idx)]
-    f_hat = op.asm.loads(d)[op.idx]
+    k_hat = asm.stiffness(d)
+    f_hat = asm.loads(d)[asm.free]
 
     k_pinv = np.linalg.pinv(k_hat, rcond=PINV_RCOND, hermitian=True)
     u = k_pinv @ f_hat
@@ -139,7 +113,7 @@ def check_schur_equivalence(gs: GroundStructure, d: np.ndarray, c: float) -> Sch
     # Jacobi congruence scaling before the eigen test: D G D with positive
     # diagonal D keeps the inertia of G but stops the c-versus-K magnitude
     # mismatch from squashing a boundary violation below the tolerance.
-    g = op.matrix(d, float(c))
+    g = _lmi(asm, d, float(c))
     diag = np.diag(g)
     floor = 1e-12 * max(float(diag.max(initial=0.0)), 1.0)
     scale_vec = 1.0 / np.sqrt(np.maximum(diag, floor))
@@ -175,9 +149,8 @@ def run_nsdp_local(gs: GroundStructure, cfg: NsdpConfig | None = None,
     eigenvalue of G clears -1e-6 times the eigenvalue scale.
     """
     cfg = cfg or NsdpConfig()
-    require_valid(gs)
-    op = _LmiOperator(gs)
-    lengths = op.asm.lengths
+    asm = require_valid(gs)
+    lengths = asm.lengths
     vbar = gs.volume_bound
     ne = gs.n_elements
 
@@ -186,7 +159,7 @@ def run_nsdp_local(gs: GroundStructure, cfg: NsdpConfig | None = None,
     t0_v = 1e-4 * vbar
 
     if initial is None:
-        a0 = cfg.shrink * uniform_design(gs, op.asm)
+        a0 = cfg.shrink * uniform_design(gs, asm)
     else:
         a0 = np.asarray(initial, dtype=float).copy()
         # Pull strictly inside the linear constraints for the barrier.
@@ -194,19 +167,18 @@ def run_nsdp_local(gs: GroundStructure, cfg: NsdpConfig | None = None,
         excess = float(lengths @ a0) / (cfg.shrink * vbar)
         if excess > 1.0:
             a0 /= excess
-    k_hat = op.asm.stiffness(a0)[np.ix_(op.idx, op.idx)]
-    f_hat = op.asm.loads(a0)[op.idx]
-    c0 = cfg.c_margin * float(f_hat @ np.linalg.solve(k_hat, f_hat))
+    f_hat = asm.loads(a0)[asm.free]
+    c0 = cfg.c_margin * float(f_hat @ np.linalg.solve(asm.stiffness(a0), f_hat))
     x = np.concatenate([a0, [c0]])
 
     # Jacobi congruence scaling D G D balances the compliance entry against
     # the stiffness block; congruence preserves positive semidefiniteness.
-    diag0 = np.abs(np.diag(op.matrix(a0, c0)))
+    diag0 = np.abs(np.diag(_lmi(asm, a0, c0)))
     d_scale = 1.0 / np.sqrt(np.maximum(diag0, 1e-12 * np.max(diag0)))
 
     def phi(xv: np.ndarray, rho: float, beta: float, norm: float) -> tuple[float, np.ndarray]:
         a, c = xv[:ne], xv[ne]
-        g = op.matrix(a, c) * np.outer(d_scale, d_scale)
+        g = _lmi(asm, a, c) * np.outer(d_scale, d_scale)
         lam, vec = eigh(g)
         neg = lam < 0.0
         grad = np.zeros(ne + 1)
@@ -215,7 +187,7 @@ def run_nsdp_local(gs: GroundStructure, cfg: NsdpConfig | None = None,
             pen = float(np.sum(lam[neg] ** 2))
             for lam_j, v in zip(lam[neg], vec[:, neg].T):
                 w = d_scale * v            # v' (D dG D) v = (Dv)' dG (Dv)
-                quad, lin = op.quadratic_forms(a, w[1:])
+                quad, lin = _quadratic_forms(asm, a, w[1:])
                 grad[:ne] += 2.0 * rho * lam_j * (quad - 2.0 * w[0] * lin)
                 grad[ne] += 2.0 * rho * lam_j * w[0] ** 2
         val = c + rho * pen
@@ -268,7 +240,7 @@ def run_nsdp_local(gs: GroundStructure, cfg: NsdpConfig | None = None,
                 if nit > 0:
                     break
         x = x_new
-        lam = eigvalsh(op.matrix(x[:ne], x[ne]) * np.outer(d_scale, d_scale))
+        lam = eigvalsh(_lmi(asm, x[:ne], x[ne]) * np.outer(d_scale, d_scale))
         history.append((float(lengths @ x[:ne]), float(x[ne]), float(lam[0])))
         stages.append((rho, nit, grad_inf))
         if rho >= cfg.rho_max:
@@ -278,7 +250,7 @@ def run_nsdp_local(gs: GroundStructure, cfg: NsdpConfig | None = None,
     info = {"stages": stages, "inner_iterations": stages[-1][1], "grad_inf": stages[-1][2]}
 
     a, c = np.maximum(x[:ne], 0.0), float(x[ne])
-    lam = eigvalsh(op.matrix(a, c) * np.outer(d_scale, d_scale))
+    lam = eigvalsh(_lmi(asm, a, c) * np.outer(d_scale, d_scale))
     scale = max(abs(lam[0]), abs(lam[-1]), 1e-30)
     vol_resid = max(0.0, float(lengths @ a) - vbar)
     # rho_max bounds the terminal constraint violation of the quadratic
@@ -297,9 +269,8 @@ def run_nsdp_local(gs: GroundStructure, cfg: NsdpConfig | None = None,
                            status="infeasible-point", iterations=len(history),
                            history=history, stationarity=None, diagnostics=diagnostics)
     # Feasibility grants c >= f' pinv(K) f; report the equilibrium value.
-    k_hat = op.asm.stiffness(a)[np.ix_(op.idx, op.idx)]
-    f_hat = op.asm.loads(a)[op.idx]
-    u = np.linalg.pinv(k_hat, rcond=PINV_RCOND, hermitian=True) @ f_hat
+    f_hat = asm.loads(a)[asm.free]
+    u = np.linalg.pinv(asm.stiffness(a), rcond=PINV_RCOND, hermitian=True) @ f_hat
     c_fem = float(f_hat @ u)
     return LocalResult(method="nsdp", areas=a, compliance=c_fem,
                        status="converged", iterations=len(history),

@@ -17,6 +17,7 @@ from frameopt.local import (
     run_oc,
 )
 from frameopt.model import FrameAssembly, uniform_design
+from frameopt.nsdp import run_nsdp_local
 
 from conftest import closed_form_tip_compliance, make_cantilever, make_girder, make_ten_beam, rng
 
@@ -218,3 +219,18 @@ def test_nlp_kkt_multiplier_consistency(cantilever3):
     mu = -(g @ asm.lengths) / (asm.lengths @ asm.lengths)
     assert mu > 0.0
     assert np.linalg.norm(g + mu * asm.lengths, np.inf) <= 1e-4 * np.linalg.norm(g, np.inf)
+
+
+@pytest.mark.parametrize("runner", [run_oc, run_local_nlp, run_nsdp_local])
+def test_local_solve_assembles_once(runner, monkeypatch):
+    # Each solver reuses the assembly its validation built.
+    calls = []
+    original = FrameAssembly.__init__
+
+    def counting_init(self, gs):
+        calls.append(gs)
+        original(self, gs)
+
+    monkeypatch.setattr(FrameAssembly, "__init__", counting_init)
+    runner(make_cantilever(1))
+    assert len(calls) == 1

@@ -15,10 +15,6 @@ from frameopt.model import (
     Node,
     SelfWeight,
     Support,
-    assemble_loads,
-    assemble_stiffness,
-    assembly_derivatives,
-    element_stiffness,
     uniform_design,
     validate,
 )
@@ -33,9 +29,25 @@ def two_node_beam(x2=1.0, y2=0.0, c_i=1.0 / 12.0, e=1.0):
     return GroundStructure(nodes, elements, supports, [], 0.1)
 
 
+def element_matrix(gs, a_i):
+    """Global 6x6 stiffness of the first element at area a_i."""
+    asm = FrameAssembly(gs)
+    return a_i * asm.ka[0] + a_i**2 * asm.kb[0]
+
+
+def full_stiffness(asm, a):
+    """Brute-force full K(a), supported DOFs included, one entry at a time."""
+    K = np.zeros((asm.n_dof, asm.n_dof))
+    for e, dofs in enumerate(asm.dofs):
+        for i in range(6):
+            for j in range(6):
+                K[dofs[i], dofs[j]] += asm.ka[e, i, j] * a[e] + asm.kb[e, i, j] * (a[e] * a[e])
+    return K
+
+
 def test_horizontal_element_matches_hand_entries():
     gs = two_node_beam()
-    k = element_stiffness(gs, 1, 0.1)
+    k = element_matrix(gs, 0.1)
     # E=1, l=1, a=0.1, I = 0.1^2/12 = 1/1200
     assert k[0, 0] == pytest.approx(0.1, rel=1e-14)
     assert k[1, 1] == pytest.approx(12.0 / 1200.0, rel=1e-14)
@@ -47,13 +59,14 @@ def test_horizontal_element_matches_hand_entries():
 
 def test_zero_area_gives_zero_matrix():
     gs = two_node_beam()
-    assert np.count_nonzero(element_stiffness(gs, 1, 0.0)) == 0
+    assert np.count_nonzero(element_matrix(gs, 0.0)) == 0
+    assert np.count_nonzero(FrameAssembly(gs).stiffness(np.array([0.0]))) == 0
 
 
 def test_rotated_element_equals_conjugated_local_matrix():
     a = 0.07
-    horiz = element_stiffness(two_node_beam(1.0, 0.0), 1, a)
-    vert = element_stiffness(two_node_beam(0.0, 1.0), 1, a)
+    horiz = element_matrix(two_node_beam(1.0, 0.0), a)
+    vert = element_matrix(two_node_beam(0.0, 1.0), a)
     c, s = 0.0, 1.0
     r = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
     big = np.zeros((6, 6))
@@ -66,17 +79,17 @@ def test_rotated_element_equals_conjugated_local_matrix():
 
 
 def test_non_finite_area_rejected():
-    gs = two_node_beam()
+    asm = FrameAssembly(two_node_beam())
     with pytest.raises(ModelError):
-        element_stiffness(gs, 1, float("nan"))
+        asm.stiffness(np.array([float("nan")]))
     with pytest.raises(ModelError):
-        element_stiffness(gs, 1, -1.0)
+        asm.loads(np.array([float("inf")]))
 
 
 def test_assembled_stiffness_symmetric_psd():
     gs = make_ten_beam()
     a = rng(0).uniform(0.01, 0.2, gs.n_elements)
-    k = assemble_stiffness(gs, a)
+    k = FrameAssembly(gs).stiffness(a)
     assert np.allclose(k, k.T, atol=1e-14)
     w = np.linalg.eigvalsh(k)
     assert w.min() >= -1e-10 * np.linalg.norm(k)
@@ -88,24 +101,39 @@ def test_stiffness_is_quadratic_in_areas():
     gen = rng(1)
     a0 = gen.uniform(0.01, 0.1, gs.n_elements)
     d = gen.uniform(0.0, 0.1, gs.n_elements)
-    ks = [assemble_stiffness(gs, a0 + t * d) for t in (0.0, 1.0, 2.0, 3.0)]
+    asm = FrameAssembly(gs)
+    ks = [asm.stiffness(a0 + t * d) for t in (0.0, 1.0, 2.0, 3.0)]
     fit3 = ks[0] - 3.0 * ks[1] + 3.0 * ks[2]  # quadratic extrapolation to t=3
     scale = np.linalg.norm(ks[3])
     assert np.linalg.norm(ks[3] - fit3) <= 1e-12 * scale
 
 
 def test_single_element_cantilever_block():
+    # The clamped node drops out: the reduced K is the free end's block.
     gs = two_node_beam()
-    k = assemble_stiffness(gs, np.array([0.1]))
-    ke = element_stiffness(gs, 1, 0.1)
-    assert np.allclose(k[3:, 3:], ke[3:, 3:])
-    assert np.count_nonzero(assemble_stiffness(gs, np.array([0.0]))) == 0
+    k = FrameAssembly(gs).stiffness(np.array([0.1]))
+    ke = element_matrix(gs, 0.1)
+    assert np.array_equal(k, ke[3:, 3:])
+
+
+@pytest.mark.parametrize("build", [lambda: make_cantilever(3), make_girder, make_ten_beam],
+                         ids=["cantilever-3", "girder", "ten-beam"])
+def test_reduced_stiffness_matches_brute_force_assembly(build):
+    gs = build()
+    asm = FrameAssembly(gs)
+    gen = rng(4)
+    for _ in range(10):
+        a = gen.uniform(0.01, 0.2, gs.n_elements)
+        a[gen.random(gs.n_elements) < 0.3] = 0.0
+        K = full_stiffness(asm, a)
+        assert np.all(asm.stiffness(a) == K[np.ix_(asm.free, asm.free)])
+        assert asm.stiffness_trace(a) == np.trace(K)
 
 
 def test_nodal_loads_independent_of_areas():
     gs = make_cantilever(3)
-    f1 = assemble_loads(gs, np.full(3, 0.01))
-    f2 = assemble_loads(gs, np.full(3, 0.2))
+    f1 = FrameAssembly(gs).loads(np.full(3, 0.01))
+    f2 = FrameAssembly(gs).loads(np.full(3, 0.2))
     assert np.allclose(f1, f2)
     assert np.count_nonzero(f1) == 2  # fx, fy at the tip node
 
@@ -116,7 +144,7 @@ def test_consistent_load_pattern_horizontal():
     elements = [Element(1, 1, 2)]
     gs = GroundStructure(nodes, elements, [Support(1, True, True, True)],
                          [DistributedLoad((1,), 1.0)], 0.1)
-    f = assemble_loads(gs, np.array([0.05]))
+    f = FrameAssembly(gs).loads(np.array([0.05]))
     assert np.allclose(f, [0.0, -1.0, -1.0 / 3.0, 0.0, -1.0, 1.0 / 3.0], atol=1e-15)
 
 
@@ -126,7 +154,7 @@ def test_consistent_load_pattern_vertical():
     elements = [Element(1, 1, 2)]
     gs = GroundStructure(nodes, elements, [Support(1, True, True, True)],
                          [DistributedLoad((1,), 1.0)], 0.1)
-    f = assemble_loads(gs, np.array([0.05]))
+    f = FrameAssembly(gs).loads(np.array([0.05]))
     assert np.allclose(f, [0.0, -0.5, 0.0, 0.0, -0.5, 0.0], atol=1e-15)
 
 
@@ -136,7 +164,7 @@ def test_lumped_load_pattern_horizontal():
     elements = [Element(1, 1, 2)]
     gs = GroundStructure(nodes, elements, [Support(1, True, True, True)],
                          [DistributedLoad((1,), 1.0, scheme="lumped")], 0.1)
-    f = assemble_loads(gs, np.array([0.05]))
+    f = FrameAssembly(gs).loads(np.array([0.05]))
     assert np.allclose(f, [0.0, -1.0, 0.0, 0.0, -1.0, 0.0], atol=1e-15)
 
 
@@ -146,7 +174,7 @@ def test_unknown_load_scheme_rejected():
     gs = GroundStructure(nodes, elements, [Support(1, True, True, True)],
                          [DistributedLoad((1,), 1.0, scheme="midpoint")], 0.1)
     with pytest.raises(ModelError, match="scheme"):
-        assemble_loads(gs, np.array([0.05]))
+        FrameAssembly(gs).loads(np.array([0.05]))
 
 
 def test_self_weight_affine_superposition():
@@ -154,13 +182,13 @@ def test_self_weight_affine_superposition():
     gen = rng(2)
     a1 = gen.uniform(0.0, 0.1, 5)
     a2 = gen.uniform(0.0, 0.1, 5)
-    f0 = assemble_loads(gs, np.zeros(5))
-    fa = assemble_loads(gs, a1)
-    fb = assemble_loads(gs, a2)
-    fab = assemble_loads(gs, a1 + a2)
+    f0 = FrameAssembly(gs).loads(np.zeros(5))
+    fa = FrameAssembly(gs).loads(a1)
+    fb = FrameAssembly(gs).loads(a2)
+    fab = FrameAssembly(gs).loads(a1 + a2)
     assert np.allclose(fab - f0, (fa - f0) + (fb - f0), atol=1e-14)
     # Doubling the design doubles only the self-weight part.
-    f2 = assemble_loads(gs, 2.0 * a1)
+    f2 = FrameAssembly(gs).loads(2.0 * a1)
     assert np.allclose(f2 - f0, 2.0 * (fa - f0), atol=1e-14)
 
 
@@ -168,64 +196,79 @@ def test_self_weight_magnitude_on_uniform_girder():
     # rho*g*a = 3*1*0.02 = 0.06 per unit length; element length 2 gives
     # 0.06 at interior nodes from the two halves.
     gs = make_girder()
-    f0 = assemble_loads(gs, np.zeros(5))
-    f = assemble_loads(gs, np.full(5, 0.02))
+    f0 = FrameAssembly(gs).loads(np.zeros(5))
+    f = FrameAssembly(gs).loads(np.full(5, 0.02))
     sw = f - f0
     assert sw[4] == pytest.approx(-0.12, rel=1e-12)  # node 2 carries l*q = 2*0.06
     assert sw[1] == pytest.approx(-0.06, rel=1e-12)  # end node carries l*q/2
     assert sw[2] == 0.0                              # lumped: no nodal moments
     gs_c = make_girder("consistent")
-    sw_c = assemble_loads(gs_c, np.full(5, 0.02)) - assemble_loads(gs_c, np.zeros(5))
+    sw_c = FrameAssembly(gs_c).loads(np.full(5, 0.02)) - FrameAssembly(gs_c).loads(np.zeros(5))
     assert np.allclose(sw_c[1::3], sw[1::3], atol=1e-15)  # same end forces
     assert sw_c[2] == pytest.approx(-0.06 * 4 / 12, rel=1e-12)  # q*l^2/12 at the pin
 
 
 def test_derivatives_match_central_differences():
+    # element_energies returns u' dK/da_i u and 2 u' df/da_i; check both
+    # against central differences of u' K(a) u and f(a)' u.
     for gs in (make_cantilever(3), make_girder()):
         gen = rng(3)
         ne = gs.n_elements
+        asm = FrameAssembly(gs)
         a = gen.uniform(0.02, 0.15, ne)
+        u = np.zeros(gs.n_dof)
+        u[asm.free] = gen.normal(size=asm.free.size)
+        u_hat = u[asm.free]
+        ek, ef = asm.element_energies(a, u)
         h = 1e-5
         for i in range(ne):
-            dk, df = assembly_derivatives(gs, a, i)
             e = np.zeros(ne)
             e[i] = h
-            dk_fd = (assemble_stiffness(gs, a + e) - assemble_stiffness(gs, a - e)) / (2 * h)
-            df_fd = (assemble_loads(gs, a + e) - assemble_loads(gs, a - e)) / (2 * h)
-            assert np.linalg.norm(dk_fd - dk) <= 1e-6 * np.linalg.norm(dk)
-            assert np.allclose(df_fd, df, atol=1e-9)
+            ek_fd = (u_hat @ asm.stiffness(a + e) @ u_hat
+                     - u_hat @ asm.stiffness(a - e) @ u_hat) / (2 * h)
+            ef_fd = 2.0 * (asm.loads(a + e) @ u - asm.loads(a - e) @ u) / (2 * h)
+            assert ek_fd == pytest.approx(ek[i], rel=1e-6)
+            assert ef_fd == pytest.approx(ef[i], abs=1e-9)
 
 
 def test_derivative_at_zero_area_is_axial_only():
     gs = two_node_beam()
-    dk, _ = assembly_derivatives(gs, np.array([0.0]), 0)
-    # No bending contribution: rows/cols of v and theta vanish.
-    assert dk[1, 1] == 0.0 and dk[2, 2] == 0.0
-    assert dk[0, 0] == pytest.approx(1.0)  # E/l
+    asm = FrameAssembly(gs)
+    # Unit displacements of the free end: axial, transverse, rotation.
+    ek = [asm.element_energies(np.array([0.0]), np.eye(6)[j])[0][0] for j in (3, 4, 5)]
+    # No bending contribution at zero area.
+    assert ek[1] == 0.0 and ek[2] == 0.0
+    assert ek[0] == pytest.approx(1.0)  # E/l
 
 
 def test_load_derivative_zero_without_self_weight():
     gs = make_cantilever(3)
-    _, df = assembly_derivatives(gs, np.full(3, 0.1), 1)
-    assert np.count_nonzero(df) == 0
+    u = rng(8).normal(size=gs.n_dof)
+    _, ef = FrameAssembly(gs).element_energies(np.full(3, 0.1), u)
+    assert np.count_nonzero(ef) == 0
 
 
 def test_derivative_support_restricted_to_element_dofs():
+    # Changing one area changes K only on that element's reduced DOFs.
     gs = make_ten_beam()
-    a = np.full(10, 0.05)
-    dk, _ = assembly_derivatives(gs, a, 4)
     asm = FrameAssembly(gs)
-    mask = np.zeros(gs.n_dof, dtype=bool)
-    mask[asm.dofs[4]] = True
-    outside = dk[np.ix_(~mask, ~mask)]
+    a = np.full(10, 0.05)
+    e = np.zeros(10)
+    e[4] = 0.01
+    dk = asm.stiffness(a + e) - asm.stiffness(a)
+    rd = asm.reduced_dofs[4]
+    mask = np.zeros(asm.free.size, dtype=bool)
+    mask[rd[rd >= 0]] = True
     assert np.count_nonzero(dk) > 0
-    assert np.count_nonzero(outside) == 0
+    assert np.count_nonzero(dk[np.ix_(~mask, ~mask)]) == 0
+    assert np.count_nonzero(dk[np.ix_(mask, ~mask)]) == 0
 
 
 def test_validate_accepts_benchmarks():
     for gs in (make_cantilever(1), make_cantilever(5), make_ten_beam(), make_girder()):
         report = validate(gs)
         assert report.ok, report.message()
+        assert report.assembly.free.size == report.n_free_dof
 
 
 def test_validate_rejects_unsupported_structure():

@@ -7,17 +7,11 @@ import pytest
 from scipy.linalg import eigvalsh
 
 from frameopt.analysis import compliance
-from frameopt.model import (
-    FrameAssembly,
-    GroundStructure,
-    ModelError,
-    uniform_design,
-)
+from frameopt.model import FrameAssembly, GroundStructure, uniform_design
 from frameopt.nsdp import (
     IncompatibleLoadError,
     NsdpConfig,
     build_compliance_lmi,
-    build_stiffness_lmi,
     check_schur_equivalence,
     run_nsdp_local,
 )
@@ -32,17 +26,24 @@ def min_eig_rel(g):
     return lam[0] / max(abs(lam[0]), abs(lam[-1]), 1.0)
 
 
+def stiffness_lmi(gs, a, s):
+    """K(a) - s f f' on the support-reduced DOF set (design-independent loads)."""
+    asm = FrameAssembly(gs)
+    f_hat = asm.loads(a)[asm.free]
+    return asm.stiffness(a) - s * np.outer(f_hat, f_hat)
+
+
 # -- compliance-form LMI ------------------------------------------------------
 
 def test_lmi_layout_matches_reduced_system(cantilever3):
     a = uniform_design(cantilever3)
     asm = FrameAssembly(cantilever3)
-    free = ~asm.fixed
+    n = asm.free.size
     g = build_compliance_lmi(cantilever3, a, 5.0)
-    assert g.shape == (1 + free.sum(), 1 + free.sum())
+    assert g.shape == (1 + n, 1 + n)
     assert g[0, 0] == 5.0
-    assert np.allclose(g[0, 1:], -asm.loads(a)[free])
-    assert np.allclose(g[1:, 1:], asm.stiffness(a)[np.ix_(free, free)])
+    assert np.allclose(g[0, 1:], -asm.loads(a)[asm.free])
+    assert np.allclose(g[1:, 1:], asm.stiffness(a))
     assert np.allclose(g, g.T)
 
 
@@ -65,25 +66,19 @@ def test_lmi_boundary_cases_at_equilibrium(cantilever3):
 def test_stiffness_lmi_zero_s_is_stiffness(cantilever3):
     a = uniform_design(cantilever3)
     asm = FrameAssembly(cantilever3)
-    free = ~asm.fixed
-    g = build_stiffness_lmi(cantilever3, a, 0.0)
-    assert np.allclose(g, asm.stiffness(a)[np.ix_(free, free)])
+    g = stiffness_lmi(cantilever3, a, 0.0)
+    assert np.allclose(g, asm.stiffness(a))
     assert eigvalsh(g)[0] >= -PSD_TOL
 
 
 def test_stiffness_lmi_singular_at_inverse_compliance(cantilever3):
     a = uniform_design(cantilever3)
     c_star = compliance(cantilever3, a).compliance
-    g = build_stiffness_lmi(cantilever3, a, 1.0 / c_star)
+    g = stiffness_lmi(cantilever3, a, 1.0 / c_star)
     lam = eigvalsh(g)
     scale = max(abs(lam[0]), abs(lam[-1]))
     assert lam[0] >= -PSD_TOL * scale
     assert min(abs(lam)) < 1e-8 * scale
-
-
-def test_stiffness_lmi_rejects_self_weight(girder):
-    with pytest.raises(ModelError, match="self-weight"):
-        build_stiffness_lmi(girder, np.full(5, 0.02), 1.0)
 
 
 def test_formulations_agree_without_self_weight(cantilever3):
@@ -99,7 +94,7 @@ def test_formulations_agree_without_self_weight(cantilever3):
         for factor in (0.5, 0.9, 1.1, 2.0):
             c = factor * c_star
             first = min_eig_rel(build_compliance_lmi(cantilever3, a, c)) >= -1e-11
-            second = min_eig_rel(build_stiffness_lmi(cantilever3, a, 1.0 / c)) >= -1e-11
+            second = min_eig_rel(stiffness_lmi(cantilever3, a, 1.0 / c)) >= -1e-11
             assert first == second == (factor > 1.0)
 
 
