@@ -104,10 +104,9 @@ def solve_displacements(rs: ReducedSystem) -> np.ndarray:
     return rs.scatter(u_hat)
 
 
-def compliance(gs: GroundStructure, a: np.ndarray,
-               assembly: FrameAssembly | None = None) -> AnalysisResult:
+def compliance(gs: GroundStructure, a: np.ndarray) -> AnalysisResult:
     """Compliance f(a)'u and per-element energy terms at a design."""
-    asm = assembly if assembly is not None else FrameAssembly(gs)
+    asm = gs.assembly
     a = np.asarray(a, dtype=float)
     f = asm.loads(a)
     u = solve_displacements(reduce(asm, a, f))
@@ -125,11 +124,7 @@ def compliance_gradient(result: AnalysisResult) -> np.ndarray:
     return result.energy_load - result.energy_stiffness
 
 
-def uniform_upper_bound(gs: GroundStructure,
-                        assembly: FrameAssembly | None = None) -> tuple[float, np.ndarray]:
+def uniform_upper_bound(gs: GroundStructure) -> tuple[float, np.ndarray]:
     """Compliance of the volume-saturating uniform design."""
-    asm = assembly if assembly is not None else FrameAssembly(gs)
-    a = uniform_design(gs, asm)
-    res = compliance(gs, a, asm)
-    return res.compliance, a
-
+    a = uniform_design(gs)
+    return compliance(gs, a).compliance, a

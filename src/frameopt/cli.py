@@ -16,12 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from frameopt.analysis import (
-    DanglingLoadError,
-    FrameAssembly,
-    SingularSystemError,
-    compliance,
-)
+from frameopt.analysis import DanglingLoadError, SingularSystemError, compliance
 from frameopt.local import NlpConfig, OcConfig, run_local_nlp, run_oc
 from frameopt.model import GroundStructure, ModelError
 from frameopt.moments import (
@@ -113,6 +108,7 @@ class MethodResult:
     orders: list[dict] = field(default_factory=list)
     verified_compliance: float | None = None
     message: str = ""
+    iterations: int | None = None   # local methods only
 
     @property
     def exit_code(self) -> int:
@@ -141,6 +137,7 @@ class MethodResult:
             "areas": None if self.areas is None
                      else [float(a) for a in self.areas],
             "orders": self.orders,
+            "iterations": self.iterations,
             "message": self.message,
         }
 
@@ -194,6 +191,7 @@ def run_method(gs: GroundStructure, method: str,
                 areas=res.areas,
                 seconds=time.perf_counter() - t0,
                 message=f"{res.iterations} iterations",
+                iterations=res.iterations,
             )
     except (SingularSystemError, DanglingLoadError, ModelError) as exc:
         return MethodResult(method=method, status="error", compliance=None,
@@ -212,7 +210,8 @@ def _order_rows(hr: HierarchyResult) -> list[dict]:
         rows.append({**cert.report(), "sdp_status": o["status"],
                      "sdp_reason": o["reason"],
                      "sdp_iterations": o["sdp_iterations"],
-                     "n_moments": o["n_moments"]})
+                     "n_moments": o["n_moments"],
+                     "phase_s": o["phase_s"]})
     return rows
 
 
@@ -346,13 +345,12 @@ def _parse_areas(text: str, n_elements: int) -> np.ndarray:
 def _cmd_analyze(args) -> int:
     gs, label = _resolve_problem(args.problem)
     areas = _parse_areas(args.areas, gs.n_elements)
-    asm = FrameAssembly(gs)
     try:
-        res = compliance(gs, areas, asm)
+        res = compliance(gs, areas)
     except (SingularSystemError, DanglingLoadError) as exc:
         print(f"analysis failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    volume = float(asm.lengths @ areas)
+    volume = gs.assembly.volume(areas)
     print(f"problem      {label} ({gs.n_nodes} nodes, "
           f"{gs.n_elements} elements)")
     print(f"compliance   {res.compliance:.9g}")
@@ -376,14 +374,13 @@ def _cmd_optimize(args) -> int:
 def _cmd_certify(args) -> int:
     gs, _ = _resolve_problem(args.problem)
     areas = _parse_areas(args.areas, gs.n_elements)
-    asm = FrameAssembly(gs)
-    volume = float(asm.lengths @ areas)
+    volume = gs.assembly.volume(areas)
     if volume > gs.volume_bound * (1.0 + 1e-9):
         print(f"design infeasible: volume {volume:.9g} exceeds bound "
               f"{gs.volume_bound:.9g}", file=sys.stderr)
         return EXIT_INFEASIBLE
     try:
-        upper = compliance(gs, areas, asm).compliance
+        upper = compliance(gs, areas).compliance
     except (SingularSystemError, DanglingLoadError) as exc:
         print(f"analysis failed: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -115,13 +115,13 @@ def run_oc(gs: GroundStructure, cfg: OcConfig | None = None) -> LocalResult:
     if cfg.eps * np.sum(lengths) > vbar:
         raise BracketError("volume bound below the minimum-area floor")
 
-    a = uniform_design(gs, asm)
+    a = uniform_design(gs)
     history = []
     status = "iter-limit"
     measure = math.inf
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        res = compliance(gs, a, asm)
+        res = compliance(gs, a)
         numerators = res.energy_stiffness - res.energy_load
         mu = oc_bisect_mu(a, numerators, lengths, vbar, cfg)
         b = oc_b_factors(numerators, lengths, mu)
@@ -134,7 +134,7 @@ def run_oc(gs: GroundStructure, cfg: OcConfig | None = None) -> LocalResult:
             status = "converged"
             break
 
-    final = compliance(gs, a, asm)
+    final = compliance(gs, a)
     return LocalResult(
         method="oc",
         areas=a,
@@ -180,9 +180,9 @@ def run_local_nlp(gs: GroundStructure, cfg: NlpConfig | None = None) -> LocalRes
         raise BracketError("volume bound below the minimum-area floor")
 
     def fval(a):
-        return compliance(gs, a, asm)
+        return compliance(gs, a)
 
-    a = project_design(uniform_design(gs, asm), lengths, vbar, cfg.eps)
+    a = project_design(uniform_design(gs), lengths, vbar, cfg.eps)
     res = fval(a)
     grad = compliance_gradient(res)
     f_hist = [res.compliance]

@@ -16,7 +16,8 @@ work-equivalent nodal loads).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -104,14 +105,36 @@ class SelfWeight:
     scheme: str = "consistent"
 
 
-@dataclass
+@dataclass(frozen=True)
 class GroundStructure:
-    nodes: list[Node]
-    elements: list[Element]
-    supports: list[Support]
-    loads: list = field(default_factory=list)
+    """Nodes, candidate elements, supports, loads and the volume budget.
+
+    Immutable: the sequences are stored as tuples, and a variant is made with
+    ``dataclasses.replace``.  So the structure can own one ``FrameAssembly``
+    and one validation report, each computed on first use and kept; neither
+    can go stale.
+    """
+
+    nodes: tuple[Node, ...]
+    elements: tuple[Element, ...]
+    supports: tuple[Support, ...]
+    loads: tuple = ()
     volume_bound: float = 1.0
     name: str = ""
+
+    def __post_init__(self):
+        for name in ("nodes", "elements", "supports", "loads"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+
+    @cached_property
+    def assembly(self) -> FrameAssembly:
+        """The structure's assembly; raises ModelError on malformed input."""
+        return FrameAssembly(self)
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """The report of ``validate``, run once per structure."""
+        return validate(self)
 
     @property
     def n_nodes(self) -> int:
@@ -126,13 +149,12 @@ class GroundStructure:
         return 3 * len(self.nodes)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ValidationReport:
     ok: bool
-    errors: list[str]
+    errors: tuple[str, ...]
     mechanism: bool = False
     n_free_dof: int = 0
-    assembly: FrameAssembly | None = None   # the validated structure's, when ok
 
     def message(self) -> str:
         return "; ".join(self.errors) if self.errors else "ok"
@@ -222,11 +244,11 @@ class FrameAssembly:
     K_e(a) = a * ka_e + a**2 * kb_e and every load vector into
     f(a) = f0 + sum_i a_i * f1_i, which is all downstream code needs.
     The stiffness is assembled directly on the support-reduced DOF set
-    ``free``; load vectors stay full-length, indexed by global DOF.
+    ``free``; load vectors stay full-length, indexed by global DOF.  A
+    structure builds its one assembly on first use of ``gs.assembly``.
     """
 
     def __init__(self, gs: GroundStructure):
-        self.gs = gs
         node_index = {}
         for pos, node in enumerate(gs.nodes):
             if node.id in node_index:
@@ -236,7 +258,7 @@ class FrameAssembly:
             node_index[node.id] = pos
         self.node_index = node_index
         self.n_dof = gs.n_dof
-        ne = gs.n_elements
+        self.n_elements = ne = gs.n_elements
 
         self.lengths = np.zeros(ne)
         self.cos = np.zeros(ne)
@@ -345,9 +367,9 @@ class FrameAssembly:
 
     def _check_design(self, a: np.ndarray) -> np.ndarray:
         a = np.asarray(a, dtype=float)
-        if a.shape != (self.gs.n_elements,):
+        if a.shape != (self.n_elements,):
             raise ModelError(
-                f"design has {a.size} areas, structure has {self.gs.n_elements} elements"
+                f"design has {a.size} areas, structure has {self.n_elements} elements"
             )
         if not np.all(np.isfinite(a)):
             raise ModelError("design contains non-finite areas")
@@ -385,17 +407,16 @@ class FrameAssembly:
         if self.f1 is not None:
             ef = 2.0 * np.einsum("ei,ei->e", self.f1, ue)
         else:
-            ef = np.zeros(self.gs.n_elements)
+            ef = np.zeros(self.n_elements)
         return ek, ef
 
     def volume(self, a: np.ndarray) -> float:
         return float(self.lengths @ np.asarray(a, dtype=float))
 
 
-def uniform_design(gs: GroundStructure, assembly: FrameAssembly | None = None) -> np.ndarray:
+def uniform_design(gs: GroundStructure) -> np.ndarray:
     """The volume-saturating uniform design a_i = Vbar / sum(l)."""
-    asm = assembly if assembly is not None else FrameAssembly(gs)
-    total = float(np.sum(asm.lengths))
+    total = float(np.sum(gs.assembly.lengths))
     return np.full(gs.n_elements, gs.volume_bound / total)
 
 
@@ -404,7 +425,8 @@ def validate(gs: GroundStructure) -> ValidationReport:
 
     The kinematic check assembles the stiffness matrix at the uniform
     positive design, removes supported DOFs and requires a successful
-    Cholesky factorization with pivots above 1e-12 * trace.
+    Cholesky factorization with pivots above 1e-12 * trace.  It uses the
+    structure's own assembly; ``gs.validation`` keeps the report.
     """
     errors: list[str] = []
     if gs.volume_bound <= 0.0:
@@ -414,18 +436,18 @@ def validate(gs: GroundStructure) -> ValidationReport:
     if not gs.elements:
         errors.append("structure has no elements")
     if errors:
-        return ValidationReport(ok=False, errors=errors)
+        return ValidationReport(ok=False, errors=tuple(errors))
 
     try:
-        asm = FrameAssembly(gs)
+        asm = gs.assembly
     except ModelError as exc:
-        return ValidationReport(ok=False, errors=[str(exc)])
+        return ValidationReport(ok=False, errors=(str(exc),))
 
     n_free = asm.free.size
     if n_free == 0:
-        return ValidationReport(ok=True, errors=[], n_free_dof=0, assembly=asm)
+        return ValidationReport(ok=True, errors=(), n_free_dof=0)
 
-    K = asm.stiffness(uniform_design(gs, asm))
+    K = asm.stiffness(uniform_design(gs))
     pivot_floor = 1e-12 * np.trace(K)
     try:
         chol = np.linalg.cholesky(K)
@@ -445,19 +467,24 @@ def validate(gs: GroundStructure) -> ValidationReport:
                 continue
             node = gs.nodes[idx // 3]
             parts.append(f"node {node.id} {DOF_NAMES[idx % 3]} ({full[idx]:+.3f})")
-        errors.append(
-            "kinematic mechanism: zero-energy mode dominated by " + ", ".join(parts)
-        )
-        return ValidationReport(ok=False, errors=errors, mechanism=True, n_free_dof=n_free)
+        return ValidationReport(
+            ok=False,
+            errors=("kinematic mechanism: zero-energy mode dominated by "
+                    + ", ".join(parts),),
+            mechanism=True, n_free_dof=n_free)
 
-    return ValidationReport(ok=True, errors=[], n_free_dof=n_free, assembly=asm)
+    return ValidationReport(ok=True, errors=(), n_free_dof=n_free)
 
 
 def require_valid(gs: GroundStructure) -> FrameAssembly:
-    """Validate the structure and return the assembly that was checked."""
-    report = validate(gs)
+    """Raise unless the structure is valid; return its checked assembly.
+
+    The check runs once per structure (``gs.validation``); later calls on
+    the same structure only read the kept report.
+    """
+    report = gs.validation
     if not report.ok:
         if report.mechanism:
             raise MechanismError(report.message())
         raise ModelError(report.message())
-    return report.assembly
+    return gs.assembly

@@ -39,7 +39,7 @@ from frameopt.analysis import (
     compliance,
     uniform_upper_bound,
 )
-from frameopt.model import FrameAssembly, GroundStructure, ModelError
+from frameopt.model import GroundStructure, ModelError
 from frameopt.sdp import SdpBlock, SdpConfig, SdpProblem, SdpSolution, solve_sdp
 
 BASIS_LIMIT = 10 ** 6   # refuse monomial bases beyond this size
@@ -149,18 +149,11 @@ class ScaledProblem:
     def scaled_from_compliance(self, c: float) -> float:
         return 2.0 * c / self.c_hat - 1.0
 
-    def pmi_at(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate the matrix polynomial P(x) densely."""
-        out = np.zeros((self.pmi_size, self.pmi_size))
-        for delta, mat in self.pmi.items():
-            out += mat * _power(x, delta)
-        return out
-
 
 def scale_problem(gs: GroundStructure) -> ScaledProblem:
     """Build the unit-box polynomial formulation around the uniform design."""
-    asm = FrameAssembly(gs)
-    c_hat, _ = uniform_upper_bound(gs, asm)
+    asm = gs.assembly
+    c_hat, _ = uniform_upper_bound(gs)
     if not math.isfinite(c_hat) or c_hat <= 0.0:
         raise ModelError("uniform design compliance is degenerate; cannot scale")
     ne = gs.n_elements

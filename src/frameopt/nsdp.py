@@ -70,13 +70,13 @@ def _quadratic_forms(asm: FrameAssembly, a: np.ndarray,
     if asm.f1 is not None:
         lin = np.einsum("ek,ek->e", asm.f1, ve)
     else:
-        lin = np.zeros(asm.gs.n_elements)
+        lin = np.zeros(asm.n_elements)
     return quad, lin
 
 
 def build_compliance_lmi(gs: GroundStructure, d: np.ndarray, c: float) -> np.ndarray:
     """G(d, c) = [[c, -f'], [-f, K]] on the support-reduced DOF set."""
-    return _lmi(FrameAssembly(gs), np.asarray(d, dtype=float), float(c))
+    return _lmi(gs.assembly, np.asarray(d, dtype=float), float(c))
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ def check_schur_equivalence(gs: GroundStructure, d: np.ndarray, c: float) -> Sch
     Raises IncompatibleLoadError when f has a component outside range(K),
     where the pseudo-inverse bound is meaningless.
     """
-    asm = FrameAssembly(gs)
+    asm = gs.assembly
     d = np.asarray(d, dtype=float)
     if np.any(d < 0.0):
         raise ValueError("areas must be non-negative")
@@ -159,7 +159,7 @@ def run_nsdp_local(gs: GroundStructure, cfg: NsdpConfig | None = None,
     t0_v = 1e-4 * vbar
 
     if initial is None:
-        a0 = cfg.shrink * uniform_design(gs, asm)
+        a0 = cfg.shrink * uniform_design(gs)
     else:
         a0 = np.asarray(initial, dtype=float).copy()
         # Pull strictly inside the linear constraints for the barrier.

@@ -1,6 +1,7 @@
 """Problem-file I/O and the canonical benchmark suite.
 
-Ground structures round-trip through a small JSON document (schema below).
+Ground structures round-trip through a small JSON document (schema below),
+checked by a validator compiled once at import.
 The benchmark registry builds the reference cases programmatically and pins
 the frozen reference values their solutions are checked against; the same
 definitions are shipped as data files so the CLI has something to chew on
@@ -128,6 +129,10 @@ PROBLEM_SCHEMA = {
     },
 }
 
+# Compiled once.  The schema itself is checked against the 2020-12
+# meta-schema by the tests, not on every parse.
+_VALIDATOR = jsonschema.Draft202012Validator(PROBLEM_SCHEMA)
+
 _SECTION_NAMES = {value: name for name, value in SECTION_COEFFICIENTS.items()}
 
 
@@ -172,12 +177,15 @@ def problem_to_dict(gs: GroundStructure) -> dict:
 
 
 def problem_from_dict(doc: dict) -> GroundStructure:
-    """Validate against the schema and construct; kinematics checked too."""
-    try:
-        jsonschema.validate(doc, PROBLEM_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        path = "/".join(str(p) for p in exc.absolute_path) or "(root)"
-        raise ModelError(f"problem file invalid at {path}: {exc.message}") from exc
+    """Validate against the schema and construct; kinematics checked too.
+
+    The returned structure carries its checked assembly, so the methods and
+    the analysis reuse it.
+    """
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
+    if error is not None:
+        path = "/".join(str(p) for p in error.absolute_path) or "(root)"
+        raise ModelError(f"problem file invalid at {path}: {error.message}") from error
     nodes = [Node(n["id"], float(n["x"]), float(n["y"])) for n in doc["nodes"]]
     elements = []
     for el in doc["elements"]:
@@ -228,7 +236,9 @@ def save_problem(gs: GroundStructure, path) -> None:
 
 def packaged_problem(name: str) -> GroundStructure:
     """Load one of the shipped problem files by case name."""
-    ref = resources.files("frameopt.data").joinpath(f"{name}.json")
+    # Resolved from the package itself: data/ has no __init__.py, and a
+    # namespace package cannot be imported from a zipped install.
+    ref = resources.files("frameopt") / "data" / f"{name}.json"
     try:
         text = ref.read_text(encoding="utf-8")
     except FileNotFoundError:

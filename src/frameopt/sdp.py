@@ -94,24 +94,6 @@ class SdpBlock:
         if np.any(self.row > self.col):
             raise SdpError("entries must lie in the upper triangle (row <= col)")
 
-    @classmethod
-    def from_matrices(cls, c: np.ndarray, mats: list[np.ndarray]) -> "SdpBlock":
-        """Build a block from dense symmetric A_1 ... A_m."""
-        c = _as_symmetric(c, "block C")
-        n = c.shape[0]
-        var, row, col, val = [], [], [], []
-        for i, mat in enumerate(mats):
-            mat = _as_symmetric(mat, f"block A_{i + 1}")
-            if mat.shape[0] != n:
-                raise SdpError("pencil matrices must share the block size")
-            r, s = np.nonzero(np.triu(mat))
-            var.extend([i] * r.size)
-            row.extend(r)
-            col.extend(s)
-            val.extend(mat[r, s])
-        return cls(n, c, np.array(var, int), np.array(row, int),
-                   np.array(col, int), np.array(val, float))
-
     def coefficient(self, i: int) -> np.ndarray:
         """Dense A_i; duplicate entries add up."""
         mask = self.var == i
@@ -189,12 +171,6 @@ class KktReport:
     complementarity: float            # sum_k <A(y) - C, Z_k>
     slack_min_eigs: tuple[float, ...]  # min eig of A(y) - C per block
     dual_min_eigs: tuple[float, ...]   # min eig of Z_k per block
-
-    @property
-    def primal_residual(self) -> float:
-        """Equality residual plus the worst PSD violation of the slack."""
-        viol = max((max(0.0, -lam) for lam in self.slack_min_eigs), default=0.0)
-        return max(self.equality_residual, viol)
 
 
 class _BlockData:

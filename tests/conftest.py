@@ -1,7 +1,7 @@
-"""Shared builders for test structures.
+"""Shared builders for test structures, and helpers only tests use.
 
-These are written out longhand, independent of frameopt.problems, so the
-shipped benchmark definitions can be cross-checked against them.
+The structures are written out longhand, independent of frameopt.problems,
+so the shipped benchmark definitions can be cross-checked against them.
 """
 
 import math
@@ -22,6 +22,7 @@ from frameopt.model import (
     SelfWeight,
     Support,
 )
+from frameopt.sdp import SdpBlock
 
 TIP_FX = math.cos(math.pi / 6.0)
 TIP_FY = -math.sin(math.pi / 6.0)
@@ -90,3 +91,34 @@ def closed_form_tip_compliance(a: float, length: float = 1.0) -> float:
 
 def rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def block_from_matrices(c, mats) -> SdpBlock:
+    """SDP block sum_i y_i A_i - C from dense symmetric C and A_1 ... A_m.
+
+    Only the upper triangles are read; SdpBlock itself checks C.
+    """
+    var, row, col, val = [], [], [], []
+    for i, mat in enumerate(mats):
+        mat = np.asarray(mat, dtype=float)
+        r, s = np.nonzero(np.triu(mat))
+        var.extend([i] * r.size)
+        row.extend(r)
+        col.extend(s)
+        val.extend(mat[r, s])
+    return SdpBlock(len(c), c, np.array(var, int), np.array(row, int),
+                    np.array(col, int), np.array(val, float))
+
+
+def kkt_primal_residual(report) -> float:
+    """The larger of a KktReport's equality residual and worst slack PSD violation."""
+    viol = max((max(0.0, -lam) for lam in report.slack_min_eigs), default=0.0)
+    return max(report.equality_residual, viol)
+
+
+def pmi_at(sp, x) -> np.ndarray:
+    """The matrix polynomial P(x) of a ScaledProblem, evaluated densely."""
+    out = np.zeros((sp.pmi_size, sp.pmi_size))
+    for delta, mat in sp.pmi.items():
+        out += mat * math.prod(xi ** ai for xi, ai in zip(x, delta) if ai)
+    return out

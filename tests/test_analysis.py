@@ -1,5 +1,6 @@
 """Equilibrium, compliance, and sensitivity checks against closed forms."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -55,16 +56,16 @@ def test_uniform_cantilever_compliance_mesh_independent():
 
 
 def test_zero_load_zero_displacement(cantilever3):
-    cantilever3.loads = []
-    res = compliance(cantilever3, np.full(3, 0.1))
+    unloaded = dataclasses.replace(cantilever3, loads=())
+    res = compliance(unloaded, np.full(3, 0.1))
     assert res.compliance == 0.0
     assert np.count_nonzero(res.u) == 0
 
 
 def test_compliance_identities(ten_beam):
     a = rng(5).uniform(0.02, 0.2, 10)
-    asm = FrameAssembly(ten_beam)
-    res = compliance(ten_beam, a, asm)
+    asm = ten_beam.assembly
+    res = compliance(ten_beam, a)
     K = asm.stiffness(a)
     f = asm.loads(a)
     u_hat = res.u[asm.free]
@@ -92,8 +93,9 @@ def test_dangling_dof_with_load_rejected():
 
 
 def test_dangling_reduction_keeps_loaded_substructure():
-    gs = make_cantilever(3)
-    gs.loads = [NodalForce(2, fx=math.cos(math.pi / 6), fy=-math.sin(math.pi / 6))]
+    gs = dataclasses.replace(
+        make_cantilever(3),
+        loads=[NodalForce(2, fx=math.cos(math.pi / 6), fy=-math.sin(math.pi / 6))])
     asm = FrameAssembly(gs)
     a = np.array([0.3, 0.0, 0.0])
     rs = reduce(asm, a, asm.loads(a))

@@ -76,6 +76,8 @@ def test_optimize_writes_reports(tmp_path, capsys):
     assert result["compliance"] == pytest.approx(80.302240, rel=1e-4)
     assert result["verified_compliance"] == pytest.approx(
         result["compliance"], rel=2e-6)
+    assert result["iterations"] > 0
+    assert result["message"] == f"{result['iterations']} iterations"
     csv_text = (out / "report.csv").read_text()
     assert csv_text.startswith("case,method,status,compliance,gap,time_s")
     assert "cantilever-3,oc,converged" in csv_text
@@ -180,7 +182,12 @@ def test_run_method_po_reports_orders():
     assert isinstance(row["sdp_reason"], str) and row["sdp_reason"]
     assert row["sdp_iterations"] > 0
     assert row["n_moments"] == 15  # monomials of degree <= 2 in 4 variables
-    json.dumps(result.to_dict())
+    assert set(row["phase_s"]) == {"scaling", "schur", "factor", "step", "metrics"}
+    assert all(t >= 0.0 for t in row["phase_s"].values())
+    assert sum(row["phase_s"].values()) > 0.0
+    report = json.loads(json.dumps(result.to_dict()))
+    assert report["iterations"] is None
+    assert report["orders"][0]["phase_s"] == row["phase_s"]
 
 
 def test_run_benchmark_respects_case_methods():

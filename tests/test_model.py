@@ -1,5 +1,6 @@
 """Stiffness/load assembly against hand-evaluated patterns."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,11 +11,13 @@ from frameopt.model import (
     Element,
     FrameAssembly,
     GroundStructure,
+    MechanismError,
     ModelError,
     NodalForce,
     Node,
     SelfWeight,
     Support,
+    require_valid,
     uniform_design,
     validate,
 )
@@ -268,12 +271,28 @@ def test_validate_accepts_benchmarks():
     for gs in (make_cantilever(1), make_cantilever(5), make_ten_beam(), make_girder()):
         report = validate(gs)
         assert report.ok, report.message()
-        assert report.assembly.free.size == report.n_free_dof
+        assert gs.assembly.free.size == report.n_free_dof
+
+
+def test_structure_is_immutable_and_owns_one_assembly():
+    gs = make_cantilever(2)
+    assert isinstance(gs.nodes, tuple) and isinstance(gs.loads, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        gs.volume_bound = 0.2
+    asm = require_valid(gs)
+    assert gs.assembly is asm and require_valid(gs) is asm
+    # A replaced structure gets a fresh assembly and its own check.
+    pinned = dataclasses.replace(gs, supports=[Support(1, ux=True, uy=True)])
+    assert pinned.assembly is not asm
+    assert pinned.assembly.free.size == asm.free.size + 1
+    with pytest.raises(MechanismError):
+        require_valid(pinned)
+    assert require_valid(gs) is asm
 
 
 def test_validate_rejects_unsupported_structure():
-    gs = make_cantilever(2)
-    gs.supports = [Support(1, ux=True)]  # free rotation and vertical motion
+    # Free rotation and vertical motion at the only support.
+    gs = dataclasses.replace(make_cantilever(2), supports=[Support(1, ux=True)])
     report = validate(gs)
     assert not report.ok
     assert report.mechanism
@@ -281,13 +300,12 @@ def test_validate_rejects_unsupported_structure():
 
 
 def test_validate_rejects_bad_references():
-    gs = make_cantilever(2)
-    gs.elements = gs.elements + [Element(99, 1, 42)]
+    base = make_cantilever(2)
+    gs = dataclasses.replace(base, elements=[*base.elements, Element(99, 1, 42)])
     report = validate(gs)
     assert not report.ok and not report.mechanism
 
-    gs2 = make_cantilever(2)
-    gs2.nodes = gs2.nodes + [Node(1, 5.0, 5.0)]
+    gs2 = dataclasses.replace(base, nodes=[*base.nodes, Node(1, 5.0, 5.0)])
     assert not validate(gs2).ok
 
 

@@ -2,11 +2,16 @@
 
 import math
 
+import jsonschema
 import pytest
 
 from conftest import make_cantilever, make_girder, make_ten_beam
-from frameopt.model import ModelError, require_valid
+from frameopt import model
+from frameopt.analysis import compliance
+from frameopt.cli import run_method
+from frameopt.model import FrameAssembly, ModelError, require_valid, uniform_design
 from frameopt.problems import (
+    PROBLEM_SCHEMA,
     TIP_FX,
     TIP_FY,
     benchmark_case,
@@ -20,6 +25,7 @@ from frameopt.problems import (
     save_problem,
     ten_beam,
 )
+from frameopt.render import render_svg
 
 BUILDERS = {
     "cantilever-1": lambda: cantilever(1),
@@ -148,3 +154,74 @@ def test_benchmark_case_lookup():
     assert benchmark_case("tenbeam").name == "tenbeam"
     with pytest.raises(KeyError, match="unknown benchmark"):
         benchmark_case("bridge")
+
+
+# -- the request path ------------------------------------------------------------
+
+def test_problem_schema_is_valid_draft_2020_12():
+    # The parser compiles its validator once and never re-checks the schema.
+    jsonschema.Draft202012Validator.check_schema(PROBLEM_SCHEMA)
+
+
+def _spoil(edit):
+    doc = problem_to_dict(cantilever(3))
+    edit(doc)
+    return doc
+
+
+INVALID_DOCS = {
+    "bad-section": lambda d: d["elements"][0].update(section={"type": "hexagon"}),
+    "two-sections": lambda d: d["elements"][1].update(
+        section={"type": "square", "c_i": 1.0}),
+    "bad-load": lambda d: d["loads"].append({"type": "force", "node": 2, "fz": 1.0}),
+    "missing-key": lambda d: d.pop("volume_bound"),
+    "wrong-type": lambda d: d["nodes"][2].update(x="zero"),
+    "extra-property": lambda d: d.update(material="steel"),
+    "short-element": lambda d: d["elements"][2].update(nodes=[3]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVALID_DOCS))
+def test_invalid_document_message_matches_one_shot_validation(name):
+    doc = _spoil(INVALID_DOCS[name])
+    # The text the one-shot jsonschema.validate path produces.
+    with pytest.raises(jsonschema.ValidationError) as info:
+        jsonschema.validate(doc, PROBLEM_SCHEMA)
+    path = "/".join(str(p) for p in info.value.absolute_path) or "(root)"
+    expected = f"problem file invalid at {path}: {info.value.message}"
+    with pytest.raises(ModelError) as err:
+        problem_from_dict(doc)
+    assert str(err.value) == expected
+
+
+def _request(kind, gs):
+    if kind == "analyze":
+        return compliance(gs, uniform_design(gs))
+    if kind == "optimize":
+        return run_method(gs, "oc")
+    return render_svg(gs, uniform_design(gs))
+
+
+@pytest.mark.parametrize("kind", ["analyze", "optimize", "render"])
+def test_request_assembles_and_checks_once(kind, monkeypatch):
+    # Parse, then one request on the parsed structure: the parse's assembly
+    # and kinematic check serve the method, the analysis and cli._verify.
+    counts = {"assembly": 0, "check": 0}
+    init, check = FrameAssembly.__init__, model.validate
+
+    def counting_init(self, gs):
+        counts["assembly"] += 1
+        init(self, gs)
+
+    def counting_check(gs):
+        counts["check"] += 1
+        return check(gs)
+
+    monkeypatch.setattr(FrameAssembly, "__init__", counting_init)
+    monkeypatch.setattr(model, "validate", counting_check)
+    gs = problem_from_dict(problem_to_dict(cantilever(3)))
+    result = _request(kind, gs)
+    if kind == "optimize":
+        assert result.status == "converged"
+        assert result.verified_compliance is not None
+    assert counts == {"assembly": 1, "check": 1}
