@@ -109,6 +109,7 @@ class MethodResult:
     verified_compliance: float | None = None
     message: str = ""
     iterations: int | None = None   # local methods only
+    reason: str | None = None       # local methods only: why the solver stopped
 
     @property
     def exit_code(self) -> int:
@@ -138,6 +139,7 @@ class MethodResult:
                      else [float(a) for a in self.areas],
             "orders": self.orders,
             "iterations": self.iterations,
+            "reason": self.reason,
             "message": self.message,
         }
 
@@ -192,6 +194,7 @@ def run_method(gs: GroundStructure, method: str,
                 seconds=time.perf_counter() - t0,
                 message=f"{res.iterations} iterations",
                 iterations=res.iterations,
+                reason=res.reason,
             )
     except (SingularSystemError, DanglingLoadError, ModelError) as exc:
         return MethodResult(method=method, status="error", compliance=None,
@@ -360,6 +363,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_optimize(args) -> int:
+    if not args.eta > 0.0:
+        raise _UsageError("--eta must be positive")
     gs, label = _resolve_problem(args.problem)
     settings = SolveSettings(eps=args.eps, zeta=args.zeta, eta=args.eta,
                              gap_tol=args.gap_tol, order_max=args.order_max)

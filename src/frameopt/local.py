@@ -2,6 +2,11 @@
 
 Both operate on the nested formulation min c(a) s.t. l'a <= Vbar, a >= eps,
 with compliance and its adjoint gradient supplied by frameopt.analysis.
+Each meets the volume bound through an exact breakpoint solve (Brucker, "An
+O(n) algorithm for quadratic knapsack problems", Oper. Res. Lett. 3, 1984):
+the resized or projected volume is monotone and piecewise smooth in one
+scalar, so one sort and a few cumulative sums locate the segment where it
+crosses Vbar, and the root on that segment has a closed form.
 """
 
 from __future__ import annotations
@@ -26,8 +31,6 @@ class OcConfig:
     eta: float = 0.3           # tuning exponent
     max_iter: int = 500
     tol: float = 1e-4          # on max |b_i - 1| over active elements
-    volume_rtol: float = 1e-9  # bisection target on |l'a - Vbar|
-    mu_span: float = 1e12      # bracket half-width factor around the mu estimate
 
 
 @dataclass
@@ -48,6 +51,10 @@ class LocalResult:
     compliance: float | None
     status: str                # converged | iter-limit | infeasible-point
     iterations: int
+    # Why the solver stopped: "criterion met", "iteration limit",
+    # "line search failed", "step restarts exhausted", "singular system"
+    # or "infeasible point".
+    reason: str
     history: list = field(default_factory=list)   # (volume, compliance, measure)
     stationarity: float | None = None
     diagnostics: dict = field(default_factory=dict)
@@ -70,40 +77,47 @@ def oc_step(a: np.ndarray, b: np.ndarray, cfg: OcConfig) -> np.ndarray:
     return np.maximum(np.maximum((1.0 - cfg.zeta) * a, cfg.eps), a * b**cfg.eta)
 
 
-def oc_bisect_mu(a: np.ndarray, numerators: np.ndarray, lengths: np.ndarray,
-                 vbar: float, cfg: OcConfig) -> float:
-    """Find mu > 0 with l'(oc_step(a, b(mu))) = Vbar by geometric bisection.
+def oc_multiplier(a: np.ndarray, numerators: np.ndarray, lengths: np.ndarray,
+                  vbar: float, cfg: OcConfig) -> float:
+    """The mu > 0 with l'(oc_step(a, b(mu))) = Vbar, solved exactly.
 
-    The resized volume is non-increasing in mu, so a sign check on the
-    bracket ends suffices.
+    With f_i = max((1-zeta) a_i, eps) and c_i = a_i (N_i/l_i)^eta for N_i > 0,
+    the resized volume is
+
+        V(mu) = mu^-eta sum_{mu < mu_i} l_i c_i + sum_{mu >= mu_i} l_i f_i,
+
+    decreasing in mu, with kinks mu_i = (c_i/f_i)^(1/eta); elements with
+    N_i <= 0 always sit at f_i.  On the segment where V crosses Vbar,
+    mu = (C/(Vbar - F))^(1/eta) with that segment's two sums C and F.
     """
-    positive = numerators[numerators > 0.0]
-    if positive.size == 0:
+    if cfg.eta <= 0.0:
+        raise ValueError("tuning exponent eta must be positive")
+    floor = np.maximum((1.0 - cfg.zeta) * a, cfg.eps)
+    positive = numerators > 0.0
+    if not np.any(positive):
         raise BracketError("all resizing numerators vanish")
-    mu_hat = float(np.mean(positive) / np.mean(lengths))
-    lo, hi = mu_hat / cfg.mu_span, mu_hat * cfg.mu_span
-
-    def volume_at(mu: float) -> float:
-        b = oc_b_factors(numerators, lengths, mu)
-        return float(lengths @ oc_step(a, b, cfg))
-
-    v_lo, v_hi = volume_at(lo), volume_at(hi)
-    if not (v_lo >= vbar >= v_hi):
+    floor_volume = float(lengths @ floor)
+    if floor_volume > vbar:
         raise BracketError(
-            f"volume {vbar:.3g} outside attainable range [{v_hi:.3g}, {v_lo:.3g}]"
+            f"volume {vbar:.3g} below the move-limited minimum {floor_volume:.3g}"
         )
-    for _ in range(400):
-        mid = math.sqrt(lo * hi)
-        v_mid = volume_at(mid)
-        if abs(v_mid - vbar) <= cfg.volume_rtol * vbar:
-            return mid
-        if v_mid >= vbar:
-            lo = mid
-        else:
-            hi = mid
-        if hi / lo - 1.0 < 1e-14:
-            break
-    return math.sqrt(lo * hi)
+    idx = np.flatnonzero(positive)
+    ratio = numerators[idx] / lengths[idx]
+    kinks = ratio * (a[idx] / floor[idx]) ** (1.0 / cfg.eta)
+    order = np.argsort(kinks)
+    idx, ratio, kinks = idx[order], ratio[order], kinks[order]
+    lp = lengths[idx]
+    grow = lp * a[idx] * ratio ** cfg.eta
+    # Entry k: the sums with the first k kinks (ascending) at their floor.
+    fixed = float(lengths[~positive] @ floor[~positive]) + np.concatenate(
+        ([0.0], np.cumsum(lp * floor[idx])))
+    free = np.append(np.cumsum(grow[::-1])[::-1], 0.0)
+    at_kinks = free[:-1] * kinks ** -cfg.eta + fixed[:-1]   # non-increasing
+    k = int(np.searchsorted(-at_kinks, -vbar, side="right"))
+    if k == kinks.size:
+        # Every element sits at its floor and the floor volume is Vbar.
+        return float(kinks[-1])
+    return float((free[k] / (vbar - fixed[k])) ** (1.0 / cfg.eta))
 
 
 def run_oc(gs: GroundStructure, cfg: OcConfig | None = None) -> LocalResult:
@@ -117,13 +131,13 @@ def run_oc(gs: GroundStructure, cfg: OcConfig | None = None) -> LocalResult:
 
     a = uniform_design(gs)
     history = []
-    status = "iter-limit"
+    status, reason = "iter-limit", "iteration limit"
     measure = math.inf
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
         res = compliance(gs, a)
         numerators = res.energy_stiffness - res.energy_load
-        mu = oc_bisect_mu(a, numerators, lengths, vbar, cfg)
+        mu = oc_multiplier(a, numerators, lengths, vbar, cfg)
         b = oc_b_factors(numerators, lengths, mu)
         active = a > cfg.eps + 1e-12
         measure = float(np.max(np.abs(b[active] - 1.0))) if np.any(active) else 0.0
@@ -131,7 +145,7 @@ def run_oc(gs: GroundStructure, cfg: OcConfig | None = None) -> LocalResult:
         history.append((float(lengths @ a_next), res.compliance, measure))
         a = a_next
         if measure <= cfg.tol:
-            status = "converged"
+            status, reason = "converged", "criterion met"
             break
 
     final = compliance(gs, a)
@@ -141,6 +155,7 @@ def run_oc(gs: GroundStructure, cfg: OcConfig | None = None) -> LocalResult:
         compliance=final.compliance,
         status=status,
         iterations=iterations,
+        reason=reason,
         history=history,
         stationarity=measure,
     )
@@ -149,20 +164,38 @@ def run_oc(gs: GroundStructure, cfg: OcConfig | None = None) -> LocalResult:
 # -- projected gradient -----------------------------------------------------
 
 def project_design(z: np.ndarray, lengths: np.ndarray, vbar: float, floor: float) -> np.ndarray:
-    """Euclidean projection onto {a >= floor, l'a <= vbar}."""
+    """Euclidean projection onto {a >= floor, l'a <= vbar}.
+
+    Returns max(z - t l, floor) at the root t >= 0 of l'a = vbar, moved up
+    by roundoff where needed so that l'a <= vbar holds as computed (given
+    that the floor design fits, floor * sum(l) <= vbar).
+    """
     a = np.maximum(z, floor)
     if lengths @ a <= vbar:
         return a
-    # Find t >= 0 with l' max(floor, z - t l) = vbar; the left side is
-    # continuous and strictly decreasing until it hits the floor volume.
-    lo, hi = 0.0, float(np.max((z - floor) / lengths)) + 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if lengths @ np.maximum(z - mid * lengths, floor) > vbar:
-            lo = mid
-        else:
-            hi = mid
-    return np.maximum(z - hi * lengths, floor)
+    # V(t) = l' max(z - t l, floor) is piecewise linear and decreasing, with
+    # kinks t_i = (z_i - floor)/l_i.  With the kinks in descending order,
+    # t in [t_(k), t_(k-1)] keeps exactly the first k elements above the
+    # floor, so V(t) = S1 - t S2 + floor (L - L1) over their cumulative sums.
+    kinks = (z - floor) / lengths
+    order = np.argsort(-kinks)
+    ls = lengths[order]
+    s1 = np.cumsum(ls * z[order])
+    s2 = np.cumsum(ls * ls)
+    floored = floor * (float(np.sum(lengths)) - np.cumsum(ls))
+    at_kinks = s1 - kinks[order] * s2 + floored           # non-decreasing
+    k = max(int(np.searchsorted(at_kinks, vbar, side="right")), 1) - 1
+    t = (s1[k] + floored[k] - vbar) / s2[k]
+    step = 0.0
+    while True:
+        a = np.maximum(z - t * lengths, floor)
+        excess = lengths @ a - vbar
+        if excess <= 0.0 or t >= kinks[order[0]]:
+            return a
+        # Roundoff left the volume a few ulps above vbar: move t by the
+        # excess over the segment's slope, doubling if that moves nothing.
+        step = max(2.0 * step, excess / s2[k])
+        t += step
 
 
 def run_local_nlp(gs: GroundStructure, cfg: NlpConfig | None = None) -> LocalResult:
@@ -188,7 +221,7 @@ def run_local_nlp(gs: GroundStructure, cfg: NlpConfig | None = None) -> LocalRes
     f_hist = [res.compliance]
     history = []
     step = 1.0 / max(np.linalg.norm(grad), 1e-12)
-    status = "iter-limit"
+    status, reason = "iter-limit", "iteration limit"
     stat = math.inf
     iterations = 0
     resets = 0
@@ -196,7 +229,7 @@ def run_local_nlp(gs: GroundStructure, cfg: NlpConfig | None = None) -> LocalRes
         stat = float(np.max(np.abs(project_design(a - grad, lengths, vbar, cfg.eps) - a)))
         history.append((float(lengths @ a), res.compliance, stat))
         if stat <= cfg.stat_tol:
-            status = "converged"
+            status, reason = "converged", "criterion met"
             break
         direction = project_design(a - step * grad, lengths, vbar, cfg.eps) - a
         slope = float(grad @ direction)
@@ -209,11 +242,13 @@ def run_local_nlp(gs: GroundStructure, cfg: NlpConfig | None = None) -> LocalRes
                 trial = a + direction
                 res_trial = fval(trial)
             except SingularSystemError:
+                reason = "singular system"
                 break
         elif slope >= 0.0:
             # Degenerate arc (step too small to move); restart the step size.
             resets += 1
             if resets > 3:
+                reason = "step restarts exhausted"
                 break
             step = 1.0 / max(np.linalg.norm(grad), 1e-12)
             continue
@@ -234,6 +269,7 @@ def run_local_nlp(gs: GroundStructure, cfg: NlpConfig | None = None) -> LocalRes
                     break
                 lam *= 0.5
             if not accepted:
+                reason = "line search failed"
                 break
         grad_new = compliance_gradient(res_trial)
         s = trial - a
@@ -251,6 +287,7 @@ def run_local_nlp(gs: GroundStructure, cfg: NlpConfig | None = None) -> LocalRes
         compliance=final.compliance,
         status=status,
         iterations=iterations,
+        reason=reason,
         history=history,
         stationarity=stat,
     )

@@ -22,7 +22,7 @@ import numpy as np
 import scipy.optimize
 from scipy.linalg import eigh, eigvalsh
 
-from frameopt.local import LocalResult
+from frameopt.local import LocalResult, project_design
 from frameopt.model import FrameAssembly, GroundStructure, require_valid, uniform_design
 
 
@@ -267,11 +267,16 @@ def run_nsdp_local(gs: GroundStructure, cfg: NsdpConfig | None = None,
     if not feasible:
         return LocalResult(method="nsdp", areas=a, compliance=None,
                            status="infeasible-point", iterations=len(history),
-                           history=history, stationarity=None, diagnostics=diagnostics)
-    # Feasibility grants c >= f' pinv(K) f; report the equilibrium value.
+                           reason="infeasible point", history=history,
+                           stationarity=None, diagnostics=diagnostics)
+    # The penalty leaves a volume residual of up to 1e-5 * Vbar; project
+    # onto the volume face so the reported design meets the bound, then
+    # report its equilibrium compliance.
+    a = project_design(a, lengths, vbar, 0.0)
     f_hat = asm.loads(a)[asm.free]
     u = np.linalg.pinv(asm.stiffness(a), rcond=PINV_RCOND, hermitian=True) @ f_hat
     c_fem = float(f_hat @ u)
     return LocalResult(method="nsdp", areas=a, compliance=c_fem,
                        status="converged", iterations=len(history),
-                       history=history, stationarity=None, diagnostics=diagnostics)
+                       reason="criterion met", history=history,
+                       stationarity=None, diagnostics=diagnostics)

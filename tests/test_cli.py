@@ -41,6 +41,13 @@ def test_missing_problem_is_usage_error(capsys):
     assert "neither a file nor a packaged problem" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eta", ["0", "-0.3"])
+def test_nonpositive_eta_is_usage_error(eta, capsys):
+    code = main(["optimize", "cantilever-3", "--method", "oc", "--eta", eta])
+    assert code == EXIT_USAGE
+    assert "--eta must be positive" in capsys.readouterr().err
+
+
 def test_wrong_area_count_is_usage_error(capsys):
     assert main(["analyze", "cantilever-3", "--areas", "0.1"]) == EXIT_USAGE
 
@@ -78,6 +85,7 @@ def test_optimize_writes_reports(tmp_path, capsys):
         result["compliance"], rel=2e-6)
     assert result["iterations"] > 0
     assert result["message"] == f"{result['iterations']} iterations"
+    assert result["reason"] == "criterion met"
     csv_text = (out / "report.csv").read_text()
     assert csv_text.startswith("case,method,status,compliance,gap,time_s")
     assert "cantilever-3,oc,converged" in csv_text
@@ -187,6 +195,7 @@ def test_run_method_po_reports_orders():
     assert sum(row["phase_s"].values()) > 0.0
     report = json.loads(json.dumps(result.to_dict()))
     assert report["iterations"] is None
+    assert report["reason"] is None
     assert report["orders"][0]["phase_s"] == row["phase_s"]
 
 
