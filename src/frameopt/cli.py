@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from frameopt.analysis import DanglingLoadError, SingularSystemError, compliance
-from frameopt.local import NlpConfig, OcConfig, run_local_nlp, run_oc
+from frameopt.local import BracketError, NlpConfig, OcConfig, run_local_nlp, run_oc
 from frameopt.model import GroundStructure, ModelError
 from frameopt.moments import (
     HierarchyConfig,
@@ -110,6 +110,7 @@ class MethodResult:
     message: str = ""
     iterations: int | None = None   # local methods only
     reason: str | None = None       # local methods only: why the solver stopped
+    phase_s: dict | None = None     # local methods only: {"fem": s, "rest": s}
 
     @property
     def exit_code(self) -> int:
@@ -140,6 +141,7 @@ class MethodResult:
             "orders": self.orders,
             "iterations": self.iterations,
             "reason": self.reason,
+            "phase_s": self.phase_s,
             "message": self.message,
         }
 
@@ -195,8 +197,10 @@ def run_method(gs: GroundStructure, method: str,
                 message=f"{res.iterations} iterations",
                 iterations=res.iterations,
                 reason=res.reason,
+                phase_s=res.diagnostics["phase_s"],
             )
-    except (SingularSystemError, DanglingLoadError, ModelError) as exc:
+    except (SingularSystemError, DanglingLoadError, ModelError,
+            BracketError) as exc:
         return MethodResult(method=method, status="error", compliance=None,
                             areas=None, seconds=time.perf_counter() - t0,
                             message=str(exc))
@@ -369,6 +373,8 @@ def _cmd_optimize(args) -> int:
     settings = SolveSettings(eps=args.eps, zeta=args.zeta, eta=args.eta,
                              gap_tol=args.gap_tol, order_max=args.order_max)
     result = run_method(gs, args.method, settings)
+    if result.status == "error":
+        print(f"error: {result.message}", file=sys.stderr)
     _print_result(label, result)
     if args.out:
         write_reports(BenchReport(case=label, results=[result]), gs,

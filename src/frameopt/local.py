@@ -12,6 +12,8 @@ crosses Vbar, and the root on that segment has a closed form.
 from __future__ import annotations
 
 import math
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,7 +59,28 @@ class LocalResult:
     reason: str
     history: list = field(default_factory=list)   # (volume, compliance, measure)
     stationarity: float | None = None
+    # Always holds "phase_s": {"fem": s, "rest": s}, the run's seconds in
+    # equilibrium solves and in everything else.
     diagnostics: dict = field(default_factory=dict)
+
+
+class PhaseClock:
+    """Splits one run's wall time into equilibrium solves ("fem") and the rest."""
+
+    def __init__(self):
+        self.start = time.perf_counter()
+        self.fem = 0.0
+
+    @contextmanager
+    def solving(self):
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.fem += time.perf_counter() - t0
+
+    def phase_s(self) -> dict:
+        return {"fem": self.fem, "rest": time.perf_counter() - self.start - self.fem}
 
 
 # -- optimality criteria ----------------------------------------------------
@@ -123,6 +146,7 @@ def oc_multiplier(a: np.ndarray, numerators: np.ndarray, lengths: np.ndarray,
 def run_oc(gs: GroundStructure, cfg: OcConfig | None = None) -> LocalResult:
     """Optimality-criteria iteration from the uniform design."""
     cfg = cfg or OcConfig()
+    clock = PhaseClock()
     asm = require_valid(gs)
     lengths = asm.lengths
     vbar = gs.volume_bound
@@ -135,7 +159,8 @@ def run_oc(gs: GroundStructure, cfg: OcConfig | None = None) -> LocalResult:
     measure = math.inf
     iterations = 0
     for iterations in range(1, cfg.max_iter + 1):
-        res = compliance(gs, a)
+        with clock.solving():
+            res = compliance(gs, a)
         numerators = res.energy_stiffness - res.energy_load
         mu = oc_multiplier(a, numerators, lengths, vbar, cfg)
         b = oc_b_factors(numerators, lengths, mu)
@@ -148,7 +173,8 @@ def run_oc(gs: GroundStructure, cfg: OcConfig | None = None) -> LocalResult:
             status, reason = "converged", "criterion met"
             break
 
-    final = compliance(gs, a)
+    with clock.solving():
+        final = compliance(gs, a)
     return LocalResult(
         method="oc",
         areas=a,
@@ -158,6 +184,7 @@ def run_oc(gs: GroundStructure, cfg: OcConfig | None = None) -> LocalResult:
         reason=reason,
         history=history,
         stationarity=measure,
+        diagnostics={"phase_s": clock.phase_s()},
     )
 
 
@@ -206,6 +233,7 @@ def run_local_nlp(gs: GroundStructure, cfg: NlpConfig | None = None) -> LocalRes
     at KKT points of the nested problem.
     """
     cfg = cfg or NlpConfig()
+    clock = PhaseClock()
     asm = require_valid(gs)
     lengths = asm.lengths
     vbar = gs.volume_bound
@@ -213,7 +241,8 @@ def run_local_nlp(gs: GroundStructure, cfg: NlpConfig | None = None) -> LocalRes
         raise BracketError("volume bound below the minimum-area floor")
 
     def fval(a):
-        return compliance(gs, a)
+        with clock.solving():
+            return compliance(gs, a)
 
     a = project_design(uniform_design(gs), lengths, vbar, cfg.eps)
     res = fval(a)
@@ -290,4 +319,5 @@ def run_local_nlp(gs: GroundStructure, cfg: NlpConfig | None = None) -> LocalRes
         reason=reason,
         history=history,
         stationarity=stat,
+        diagnostics={"phase_s": clock.phase_s()},
     )

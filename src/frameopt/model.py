@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import dpbtrf
 
 # Cross-section coefficients c_I in I = c_I * a**2.
 SQUARE_SECTION = 1.0 / 12.0              # solid square: I = h**4/12, a = h**2
@@ -244,8 +245,10 @@ class FrameAssembly:
     K_e(a) = a * ka_e + a**2 * kb_e and every load vector into
     f(a) = f0 + sum_i a_i * f1_i, which is all downstream code needs.
     The stiffness is assembled directly on the support-reduced DOF set
-    ``free``; load vectors stay full-length, indexed by global DOF.  A
-    structure builds its one assembly on first use of ``gs.assembly``.
+    ``free``: densely (``stiffness``), or into its node-order band
+    (``stiffness_band``), the form the FEM solves factor.  Load vectors stay
+    full-length, indexed by global DOF.  A structure builds its one
+    assembly on first use of ``gs.assembly``.
     """
 
     def __init__(self, gs: GroundStructure):
@@ -313,8 +316,22 @@ class FrameAssembly:
         self.reduced_dofs = position[self.dofs]
         rows = self.reduced_dofs[:, :, None]
         cols = self.reduced_dofs[:, None, :]
+        n = self.free.size
         self._kept = (rows >= 0) & (cols >= 0)
-        self._scatter = (rows * self.free.size + cols)[self._kept]
+        self._scatter = (rows * n + cols)[self._kept]
+        # K is banded in node order: its half-bandwidth u is the widest span
+        # of free DOFs within one element.  The band scatter keeps only the
+        # upper entries (i <= j), each the same element-order sum as the
+        # dense K's, at flat slot u (j + 1) + i of the column-major LAPACK
+        # upper band, where band[u + i - j, j] = K[i, j].
+        upper = self._kept & (rows <= cols)
+        i, j = (np.broadcast_to(x, upper.shape)[upper] for x in (rows, cols))
+        self.half_bandwidth = u = int(np.max(j - i, initial=0))
+        self._band_scatter = u * (j + 1) + i
+        self._band_element = np.nonzero(upper)[0]
+        self._band_ka = self.ka[upper]
+        self._band_kb = self.kb[upper]
+        self.band_slots, self.band_cols = band_rows(u, n)
 
         element_pos = {el.id: k for k, el in enumerate(gs.elements)}
         self.f0 = np.zeros(self.n_dof)
@@ -383,6 +400,20 @@ class FrameAssembly:
         return np.bincount(self._scatter, weights=ke[self._kept],
                            minlength=n * n).reshape(n, n)
 
+    def stiffness_band(self, a: np.ndarray) -> np.ndarray:
+        """Upper band of the support-reduced K(a) in LAPACK storage.
+
+        A (u + 1) x n Fortran-ordered array with band[u + i - j, j] = K[i, j]
+        for j - u <= i <= j, u = ``half_bandwidth``; the unused top-left
+        corner is zero.  Entries equal those of ``stiffness`` bit for bit.
+        """
+        a = self._check_design(a)
+        u, n = self.half_bandwidth, self.free.size
+        e = self._band_element
+        weights = self._band_ka * a[e] + self._band_kb * (a * a)[e]
+        return np.bincount(self._band_scatter, weights=weights,
+                           minlength=(u + 1) * n).reshape(n, u + 1).T
+
     def stiffness_trace(self, a: np.ndarray) -> float:
         """Trace of the full K(a), supported DOFs included."""
         a = self._check_design(a)
@@ -414,6 +445,23 @@ class FrameAssembly:
         return float(self.lengths @ np.asarray(a, dtype=float))
 
 
+def band_rows(u: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gather index of the rows of a symmetric n x n matrix of half-bandwidth u.
+
+    For the column-major upper band of ``FrameAssembly.stiffness_band``,
+    ``band.ravel(order="F")[slots]`` is the n x (2u + 1) array whose row i
+    holds K[i, i - u], ..., K[i, i + u], the lower part read from its mirror;
+    ``cols`` names the column of each entry.  Positions outside the matrix
+    point at slot 0, the unused band[0, 0] (zero whenever u > 0), and at
+    column 0.
+    """
+    i = np.arange(n)[:, None]
+    j = i + np.arange(-u, u + 1)
+    inside = (j >= 0) & (j < n)
+    slots = u * (np.maximum(i, j) + 1) + np.minimum(i, j)
+    return np.where(inside, slots, 0), np.where(inside, j, 0)
+
+
 def uniform_design(gs: GroundStructure) -> np.ndarray:
     """The volume-saturating uniform design a_i = Vbar / sum(l)."""
     total = float(np.sum(gs.assembly.lengths))
@@ -423,9 +471,9 @@ def uniform_design(gs: GroundStructure) -> np.ndarray:
 def validate(gs: GroundStructure) -> ValidationReport:
     """Check model sanity and that the supported structure is not a mechanism.
 
-    The kinematic check assembles the stiffness matrix at the uniform
-    positive design, removes supported DOFs and requires a successful
-    Cholesky factorization with pivots above 1e-12 * trace.  It uses the
+    The kinematic check assembles the support-reduced stiffness band at the
+    uniform positive design and requires a successful banded Cholesky
+    factorization with pivots above 1e-12 * trace.  It uses the
     structure's own assembly; ``gs.validation`` keeps the report.
     """
     errors: list[str] = []
@@ -447,16 +495,15 @@ def validate(gs: GroundStructure) -> ValidationReport:
     if n_free == 0:
         return ValidationReport(ok=True, errors=(), n_free_dof=0)
 
-    K = asm.stiffness(uniform_design(gs))
-    pivot_floor = 1e-12 * np.trace(K)
-    try:
-        chol = np.linalg.cholesky(K)
-        min_pivot = float(np.min(np.diag(chol)) ** 2)
-    except np.linalg.LinAlgError:
-        min_pivot = -1.0
+    a = uniform_design(gs)
+    band = asm.stiffness_band(a)
+    pivot_floor = 1e-12 * float(np.sum(band[-1]))
+    factor, info = dpbtrf(band)
+    # The pivots are the squared diagonal of U, the factor's last band row.
+    min_pivot = float(np.min(factor[-1]) ** 2) if info == 0 else -1.0
     if min_pivot < pivot_floor:
         # Name the dominant DOFs of the zero-energy mode.
-        w, v = np.linalg.eigh(K)
+        w, v = np.linalg.eigh(asm.stiffness(a))
         mode = v[:, 0]
         full = np.zeros(gs.n_dof)
         full[asm.free] = mode

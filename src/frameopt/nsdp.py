@@ -22,7 +22,7 @@ import numpy as np
 import scipy.optimize
 from scipy.linalg import eigh, eigvalsh
 
-from frameopt.local import LocalResult, project_design
+from frameopt.local import LocalResult, PhaseClock, project_design
 from frameopt.model import FrameAssembly, GroundStructure, require_valid, uniform_design
 
 
@@ -149,6 +149,7 @@ def run_nsdp_local(gs: GroundStructure, cfg: NsdpConfig | None = None,
     eigenvalue of G clears -1e-6 times the eigenvalue scale.
     """
     cfg = cfg or NsdpConfig()
+    clock = PhaseClock()
     asm = require_valid(gs)
     lengths = asm.lengths
     vbar = gs.volume_bound
@@ -167,8 +168,9 @@ def run_nsdp_local(gs: GroundStructure, cfg: NsdpConfig | None = None,
         excess = float(lengths @ a0) / (cfg.shrink * vbar)
         if excess > 1.0:
             a0 /= excess
-    f_hat = asm.loads(a0)[asm.free]
-    c0 = cfg.c_margin * float(f_hat @ np.linalg.solve(asm.stiffness(a0), f_hat))
+    with clock.solving():
+        f_hat = asm.loads(a0)[asm.free]
+        c0 = cfg.c_margin * float(f_hat @ np.linalg.solve(asm.stiffness(a0), f_hat))
     x = np.concatenate([a0, [c0]])
 
     # Jacobi congruence scaling D G D balances the compliance entry against
@@ -265,6 +267,7 @@ def run_nsdp_local(gs: GroundStructure, cfg: NsdpConfig | None = None,
         c_variable=c,
     )
     if not feasible:
+        diagnostics["phase_s"] = clock.phase_s()
         return LocalResult(method="nsdp", areas=a, compliance=None,
                            status="infeasible-point", iterations=len(history),
                            reason="infeasible point", history=history,
@@ -273,9 +276,11 @@ def run_nsdp_local(gs: GroundStructure, cfg: NsdpConfig | None = None,
     # onto the volume face so the reported design meets the bound, then
     # report its equilibrium compliance.
     a = project_design(a, lengths, vbar, 0.0)
-    f_hat = asm.loads(a)[asm.free]
-    u = np.linalg.pinv(asm.stiffness(a), rcond=PINV_RCOND, hermitian=True) @ f_hat
-    c_fem = float(f_hat @ u)
+    with clock.solving():
+        f_hat = asm.loads(a)[asm.free]
+        u = np.linalg.pinv(asm.stiffness(a), rcond=PINV_RCOND, hermitian=True) @ f_hat
+        c_fem = float(f_hat @ u)
+    diagnostics["phase_s"] = clock.phase_s()
     return LocalResult(method="nsdp", areas=a, compliance=c_fem,
                        status="converged", iterations=len(history),
                        reason="criterion met", history=history,

@@ -4,11 +4,13 @@ The structures are written out longhand, independent of frameopt.problems,
 so the shipped benchmark definitions can be cross-checked against them.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from frameopt.analysis import ReducedSystem
 from frameopt.model import (
     CIRCLE_SECTION,
     PLATE_GIRDER_SECTION,
@@ -21,6 +23,7 @@ from frameopt.model import (
     Node,
     SelfWeight,
     Support,
+    band_rows,
 )
 from frameopt.sdp import SdpBlock
 
@@ -122,3 +125,62 @@ def pmi_at(sp, x) -> np.ndarray:
     for delta, mat in sp.pmi.items():
         out += mat * math.prod(xi ** ai for xi, ai in zip(x, delta) if ai)
     return out
+
+
+def reduced_system_from_dense(K, f) -> ReducedSystem:
+    """ReducedSystem of a dense symmetric K (upper triangle read) and load f."""
+    K = np.asarray(K, dtype=float)
+    n = K.shape[0]
+    i, j = np.nonzero(np.triu(K))
+    u = int(np.max(j - i, initial=0))
+    band = np.zeros((u + 1, n), order="F")
+    band[u + i - j, j] = K[i, j]
+    slots, cols = band_rows(u, n)
+    return ReducedSystem(free=np.arange(n), band=band,
+                         rows=band.ravel(order="F")[slots], cols=cols,
+                         f=np.asarray(f, dtype=float), n_dof=n)
+
+
+def make_grid(cols: int, rows: int, gen: np.random.Generator) -> GroundStructure:
+    """Unit grid of circular beams, both diagonals in every cell, clamped on
+    the left edge, with random forces and moments at one to three nodes."""
+    def nid(i, j):
+        return j * (cols + 1) + i + 1
+
+    nodes = [Node(nid(i, j), float(i), float(j))
+             for j in range(rows + 1) for i in range(cols + 1)]
+    pairs = [(nid(i, j), nid(i + 1, j)) for j in range(rows + 1) for i in range(cols)]
+    pairs += [(nid(i, j), nid(i, j + 1)) for j in range(rows) for i in range(1, cols + 1)]
+    for j in range(rows):
+        for i in range(cols):
+            pairs += [(nid(i, j), nid(i + 1, j + 1)), (nid(i + 1, j), nid(i, j + 1))]
+    elements = [Element(k + 1, p, q, 1.0, CIRCLE_SECTION) for k, (p, q) in enumerate(pairs)]
+    supports = [Support(nid(0, j), True, True, True) for j in range(rows + 1)]
+    free_nodes = [nid(i, j) for j in range(rows + 1) for i in range(1, cols + 1)]
+    loads = []
+    for node in gen.choice(free_nodes, size=min(len(free_nodes), int(gen.integers(1, 4))),
+                           replace=False):
+        fx, fy = gen.normal(size=2)
+        loads += [NodalForce(int(node), fx=fx, fy=fy),
+                  NodalMoment(int(node), gen.uniform(-2.0, 2.0))]
+    return GroundStructure(nodes, elements, supports, loads, 0.05 * len(pairs),
+                           f"grid-{len(pairs)}")
+
+
+def make_long_girder(n: int, gen: np.random.Generator) -> GroundStructure:
+    """Half girder of n span-2 members: pin left, symmetry right, random
+    line load and self-weight under a random load scheme."""
+    scheme = str(gen.choice(["lumped", "consistent"]))
+    nodes = [Node(i + 1, 2.0 * i, 0.0) for i in range(n + 1)]
+    elements = [Element(i + 1, i + 1, i + 2, 1.0e4, PLATE_GIRDER_SECTION) for i in range(n)]
+    supports = [Support(1, ux=True, uy=True), Support(n + 1, ux=True, rot=True)]
+    loads = [DistributedLoad(tuple(range(1, n + 1)), gen.uniform(0.5, 1.5), scheme),
+             SelfWeight(gen.uniform(1.0, 5.0), 1.0, scheme)]
+    return GroundStructure(nodes, elements, supports, loads, 0.04 * n, f"girder-{n}")
+
+
+def scramble_nodes(gs: GroundStructure, gen: np.random.Generator) -> GroundStructure:
+    """The same structure with its node list, and so its DOF order, permuted."""
+    order = gen.permutation(len(gs.nodes))
+    return dataclasses.replace(gs, nodes=[gs.nodes[k] for k in order],
+                               name=gs.name + "-scrambled")

@@ -8,8 +8,9 @@ import pytest
 import sympy
 
 from frameopt.analysis import (
+    DANGLING_LOAD_TOL,
+    DANGLING_ROW_TOL,
     DanglingLoadError,
-    ReducedSystem,
     compliance,
     compliance_gradient,
     reduce,
@@ -25,8 +26,53 @@ from frameopt.model import (
     Support,
     uniform_design,
 )
+from frameopt.problems import build_benchmarks
 
-from conftest import closed_form_tip_compliance, make_cantilever, make_girder, make_ten_beam, rng
+from conftest import (
+    closed_form_tip_compliance,
+    make_cantilever,
+    make_girder,
+    make_grid,
+    make_long_girder,
+    make_ten_beam,
+    reduced_system_from_dense,
+    rng,
+    scramble_nodes,
+)
+
+# Every shipped case, local-sweep-style grids and girders, and a cantilever
+# whose node order gives a full band.
+BANDED_CASES = {
+    **{case.name: case.build for case in build_benchmarks()},
+    "grid-18": lambda: make_grid(2, 2, rng(21)),
+    "grid-52": lambda: make_grid(5, 2, rng(22)),
+    "grid-85": lambda: make_grid(5, 4, rng(23)),
+    "girder-11": lambda: make_long_girder(11, rng(24)),
+    "girder-30": lambda: make_long_girder(30, rng(25)),
+    "cantilever-20-scrambled": lambda: scramble_nodes(make_cantilever(20), rng(26)),
+}
+
+
+def dense_reference(asm, a, f):
+    """The dense counterpart of ``reduce`` and ``solve_displacements``.
+
+    Returns the kept DOFs, the dense kept K, whether a dropped (dangling)
+    DOF carries load, and the displacements by ``numpy.linalg.solve``; those
+    are None when a dangling DOF is loaded or when the kept K is singular (a
+    mechanism), where no solution exists to compare.
+    """
+    K = asm.stiffness(a)
+    floor = DANGLING_ROW_TOL * max(asm.stiffness_trace(a), 0.0)
+    keep = np.max(np.abs(K), axis=1, initial=0.0) > floor
+    kept = asm.free[keep]
+    K = K[np.ix_(keep, keep)]
+    loaded = bool(np.any(np.abs(f[asm.free[~keep]]) > DANGLING_LOAD_TOL * np.linalg.norm(f)))
+    w = np.linalg.eigvalsh(K)
+    if loaded or (w.size and w[0] <= 1e-13 * w[-1]):
+        return kept, K, loaded, None
+    u = np.zeros(asm.n_dof)
+    u[kept] = np.linalg.solve(K, f[kept])
+    return kept, K, loaded, u
 
 
 def test_axial_rod_tip_displacement():
@@ -81,8 +127,7 @@ def test_random_spd_residual():
     m = gen.normal(size=(5, 5))
     K = m @ m.T + 5.0 * np.eye(5)
     f = gen.normal(size=5)
-    rs = ReducedSystem(free=np.arange(5), K=K, f=f, n_dof=5)
-    u = solve_displacements(rs)
+    u = solve_displacements(reduced_system_from_dense(K, f))
     assert np.linalg.norm(K @ u - f) <= 1e-9 * np.linalg.norm(f)
 
 
@@ -218,3 +263,50 @@ def test_energies_zero_load_term_without_self_weight(ten_beam):
 def test_girder_energy_load_term_nonzero(girder):
     res = compliance(girder, np.full(5, 0.02))
     assert np.any(res.energy_load != 0.0)
+
+
+@pytest.mark.parametrize("name", list(BANDED_CASES))
+def test_banded_solve_matches_dense_reference(name):
+    gs = BANDED_CASES[name]()
+    asm = gs.assembly
+    gen = rng(27)
+    ne = gs.n_elements
+    for trial in range(10):
+        a = gen.uniform(0.01, 0.2, ne)
+        if trial % 2:
+            a[gen.random(ne) < 0.3] = 0.0
+        f = asm.loads(a)
+        kept, K, loaded, u_ref = dense_reference(asm, a, f)
+        if loaded:
+            with pytest.raises(DanglingLoadError):
+                reduce(asm, a, f)
+            continue
+        rs = reduce(asm, a, f)
+        assert np.array_equal(rs.free, kept)
+        assert rs.n_dangling == asm.free.size - kept.size
+        if u_ref is None:
+            continue
+        u = solve_displacements(rs)
+        # Backward error against the dense K: independent of conditioning.
+        residual = np.linalg.norm(K @ u[kept] - f[kept])
+        assert residual <= 1e-14 * (np.linalg.norm(K) * np.linalg.norm(u) + np.linalg.norm(f))
+        # Two backward-stable solvers agree to about eps * cond(K), more
+        # than 1e-10 on the long chains (cond(K) is 4e12 on cantilever-300).
+        err = np.linalg.norm(u - u_ref) / np.linalg.norm(u_ref)
+        assert err <= max(1e-10, np.finfo(float).eps * np.linalg.cond(K))
+
+
+@pytest.mark.parametrize("name", ["cantilever-150", "grid-85", "cantilever-20-scrambled"])
+def test_dangling_rows_match_dense_on_tiny_areas(name):
+    # Areas down to 1e-13 put rows on both sides of the dangling floor, some
+    # with a tiny diagonal but a larger coupling that only the mirrored
+    # lower part of the band shows.
+    gs = BANDED_CASES[name]()
+    asm = gs.assembly
+    gen = rng(28)
+    f = np.zeros(asm.n_dof)
+    for _ in range(10):
+        a = 10.0 ** gen.uniform(-13.0, -1.0, gs.n_elements)
+        a[gen.random(gs.n_elements) < 0.1] = 0.0
+        kept = dense_reference(asm, a, f)[0]
+        assert np.array_equal(reduce(asm, a, f).free, kept)

@@ -15,7 +15,7 @@ from frameopt.cli import (
     run_benchmark,
     run_method,
 )
-from frameopt.problems import benchmark_case, cantilever
+from frameopt.problems import benchmark_case, cantilever, save_problem
 
 CANT3_AREAS = "0.141767,0.102424,0.055809"
 
@@ -86,11 +86,28 @@ def test_optimize_writes_reports(tmp_path, capsys):
     assert result["iterations"] > 0
     assert result["message"] == f"{result['iterations']} iterations"
     assert result["reason"] == "criterion met"
+    phases = result["phase_s"]
+    assert set(phases) == {"fem", "rest"}
+    assert phases["fem"] > 0.0 and phases["rest"] >= 0.0
+    assert phases["fem"] + phases["rest"] <= result["seconds"]
     csv_text = (out / "report.csv").read_text()
     assert csv_text.startswith("case,method,status,compliance,gap,time_s")
     assert "cantilever-3,oc,converged" in csv_text
     svg = (out / "cantilever-3-oc.svg").read_text()
     assert svg.startswith("<svg ") and svg.count("<line ") == 3
+
+
+@pytest.mark.parametrize("method", ["oc", "nlp"])
+def test_optimize_budget_below_area_floor_is_error(method, tmp_path, capsys):
+    # eps * total length = 1e-6 exceeds the budget, so no design fits.
+    path = tmp_path / "tiny.json"
+    save_problem(cantilever(1, volume_bound=1e-9), path)
+    assert run_method(cantilever(1, volume_bound=1e-9), method).status == "error"
+    code = main(["optimize", str(path), "--method", method])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "minimum-area floor" in err
+    assert "Traceback" not in err
 
 
 def test_optimize_po_certifies_cantilever3(capsys):
@@ -196,6 +213,7 @@ def test_run_method_po_reports_orders():
     report = json.loads(json.dumps(result.to_dict()))
     assert report["iterations"] is None
     assert report["reason"] is None
+    assert report["phase_s"] is None
     assert report["orders"][0]["phase_s"] == row["phase_s"]
 
 

@@ -444,5 +444,9 @@ def test_local_solve_assembles_once(runner, monkeypatch):
         original(self, gs)
 
     monkeypatch.setattr(FrameAssembly, "__init__", counting_init)
-    runner(make_cantilever(1))
+    result = runner(make_cantilever(1))
     assert len(calls) == 1
+    # Every local result splits its wall time into FEM solves and the rest.
+    phases = result.diagnostics["phase_s"]
+    assert set(phases) == {"fem", "rest"}
+    assert phases["fem"] > 0.0 and phases["rest"] > 0.0

@@ -22,7 +22,15 @@ from frameopt.model import (
     validate,
 )
 
-from conftest import make_cantilever, make_girder, make_ten_beam, rng
+from conftest import (
+    make_cantilever,
+    make_girder,
+    make_grid,
+    make_long_girder,
+    make_ten_beam,
+    rng,
+    scramble_nodes,
+)
 
 
 def two_node_beam(x2=1.0, y2=0.0, c_i=1.0 / 12.0, e=1.0):
@@ -131,6 +139,38 @@ def test_reduced_stiffness_matches_brute_force_assembly(build):
         K = full_stiffness(asm, a)
         assert np.all(asm.stiffness(a) == K[np.ix_(asm.free, asm.free)])
         assert asm.stiffness_trace(a) == np.trace(K)
+
+
+@pytest.mark.parametrize("build, width", [
+    (lambda: make_cantilever(2), 5), (lambda: make_cantilever(150), 5),
+    (make_girder, 5), (lambda: make_long_girder(30, rng(5)), 5),
+    (make_ten_beam, 11), (lambda: make_grid(5, 4, rng(6)), 20),
+], ids=["cantilever-2", "cantilever-150", "girder", "girder-30", "ten-beam", "grid-85"])
+def test_half_bandwidth_in_node_order(build, width):
+    # A chain couples each node to its neighbours only: two nodes, six DOFs.
+    assert FrameAssembly(build()).half_bandwidth == width
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_cantilever(1), lambda: make_cantilever(3), make_girder, make_ten_beam,
+    lambda: make_grid(5, 4, rng(6)), lambda: scramble_nodes(make_cantilever(12), rng(7)),
+], ids=["cantilever-1", "cantilever-3", "girder", "ten-beam", "grid-85", "scrambled"])
+def test_stiffness_band_equals_dense_upper_triangle(build):
+    asm = FrameAssembly(build())
+    u, n = asm.half_bandwidth, asm.free.size
+    i, j = np.triu_indices(n)
+    inside = j - i <= u
+    d, col = np.indices((u + 1, n))
+    gen = rng(9)
+    for _ in range(10):
+        a = gen.uniform(0.01, 0.2, asm.n_elements)
+        a[gen.random(asm.n_elements) < 0.3] = 0.0
+        K = asm.stiffness(a)
+        band = asm.stiffness_band(a)
+        assert band.shape == (u + 1, n) and band.flags.f_contiguous
+        assert np.all(band[u + i[inside] - j[inside], j[inside]] == K[i[inside], j[inside]])
+        assert not np.any(K[i[~inside], j[~inside]])
+        assert not np.any(band[col - u + d < 0])     # the unused corner
 
 
 def test_nodal_loads_independent_of_areas():
