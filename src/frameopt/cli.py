@@ -111,6 +111,9 @@ class MethodResult:
     iterations: int | None = None   # local methods only
     reason: str | None = None       # local methods only: why the solver stopped
     phase_s: dict | None = None     # local methods only: {"fem": s, "rest": s}
+    evaluations: int | None = None  # nsdp only: penalty evaluations
+    eig_solves: int | None = None   # nsdp only: banded factorizations in them
+    kkt_residual: float | None = None  # nlp only: scale-free KKT residual at exit
 
     @property
     def exit_code(self) -> int:
@@ -140,6 +143,9 @@ class MethodResult:
                      else [float(a) for a in self.areas],
             "orders": self.orders,
             "iterations": self.iterations,
+            "evaluations": self.evaluations,
+            "eig_solves": self.eig_solves,
+            "kkt_residual": num(self.kkt_residual),
             "reason": self.reason,
             "phase_s": self.phase_s,
             "message": self.message,
@@ -198,6 +204,9 @@ def run_method(gs: GroundStructure, method: str,
                 iterations=res.iterations,
                 reason=res.reason,
                 phase_s=res.diagnostics["phase_s"],
+                evaluations=res.diagnostics.get("evaluations"),
+                eig_solves=res.diagnostics.get("eig_solves"),
+                kkt_residual=res.diagnostics.get("kkt_residual"),
             )
     except (SingularSystemError, DanglingLoadError, ModelError,
             BracketError) as exc:

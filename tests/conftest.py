@@ -51,20 +51,23 @@ def make_ten_beam(m2: float = 1.0, m3: float = 2.0) -> GroundStructure:
     return GroundStructure(nodes, elements, supports, loads, 0.5, "tenbeam")
 
 
-def make_girder(scheme: str = "lumped") -> GroundStructure:
+def make_girder(scheme: str = "lumped", n_e: int = 5,
+                volume: float = 0.2) -> GroundStructure:
     """Half of a span-20 girder: pin at the left end, symmetry at midspan.
 
     The reference design uses statically equivalent (lumped) nodal loads;
-    pass scheme="consistent" for the work-equivalent discretization.
+    pass scheme="consistent" for the work-equivalent discretization.  n_e
+    span-2 members make a longer girder of the same kind.
     """
-    nodes = [Node(i + 1, 2.0 * i, 0.0) for i in range(6)]
-    elements = [Element(i + 1, i + 1, i + 2, 1.0e4, PLATE_GIRDER_SECTION) for i in range(5)]
-    supports = [Support(1, ux=True, uy=True), Support(6, ux=True, rot=True)]
+    nodes = [Node(i + 1, 2.0 * i, 0.0) for i in range(n_e + 1)]
+    elements = [Element(i + 1, i + 1, i + 2, 1.0e4, PLATE_GIRDER_SECTION) for i in range(n_e)]
+    supports = [Support(1, ux=True, uy=True), Support(n_e + 1, ux=True, rot=True)]
     loads = [
-        DistributedLoad(elements=tuple(range(1, 6)), q=1.0, scheme=scheme),
+        DistributedLoad(elements=tuple(range(1, n_e + 1)), q=1.0, scheme=scheme),
         SelfWeight(rho=3.0, g=1.0, scheme=scheme),
     ]
-    return GroundStructure(nodes, elements, supports, loads, 0.2, "girder")
+    name = "girder" if n_e == 5 else f"girder-{n_e}"
+    return GroundStructure(nodes, elements, supports, loads, volume, name)
 
 
 @pytest.fixture

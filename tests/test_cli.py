@@ -97,6 +97,26 @@ def test_optimize_writes_reports(tmp_path, capsys):
     assert svg.startswith("<svg ") and svg.count("<line ") == 3
 
 
+def test_optimize_reports_counts_next_to_iterations(tmp_path):
+    # nsdp reports its penalty evaluations and their banded factorizations,
+    # nlp its KKT residual at exit; the other methods leave them null.
+    def report(method):
+        out = tmp_path / method
+        assert main(["optimize", "cantilever-3", "--method", method,
+                     "--out", str(out)]) == EXIT_OK
+        return json.loads((out / "cantilever-3.json").read_text())["results"][0]
+
+    nsdp = report("nsdp")
+    assert nsdp["evaluations"] >= nsdp["iterations"] > 0
+    assert nsdp["eig_solves"] >= nsdp["evaluations"]
+    assert nsdp["kkt_residual"] is None
+    nlp = report("nlp")
+    assert 0.0 <= nlp["kkt_residual"] <= 1e-6
+    assert nlp["evaluations"] is None and nlp["eig_solves"] is None
+    oc = report("oc")
+    assert (oc["evaluations"], oc["eig_solves"], oc["kkt_residual"]) == (None, None, None)
+
+
 @pytest.mark.parametrize("method", ["oc", "nlp"])
 def test_optimize_budget_below_area_floor_is_error(method, tmp_path, capsys):
     # eps * total length = 1e-6 exceeds the budget, so no design fits.

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from frameopt import local
+from frameopt import local, problems
 from frameopt.analysis import compliance, compliance_gradient
 from frameopt.local import (
     BracketError,
     NlpConfig,
     OcConfig,
+    kkt_residual,
     oc_b_factors,
     oc_multiplier,
     oc_step,
@@ -366,6 +367,43 @@ def test_nlp_kkt_multiplier_consistency(cantilever3):
     assert np.linalg.norm(g + mu * asm.lengths, np.inf) <= 1e-4 * np.linalg.norm(g, np.inf)
 
 
+def test_kkt_residual_vanishes_only_at_kkt_points():
+    lengths = np.array([1.0, 2.0, 0.5, 1.0])
+    a = np.array([0.3, 0.1, 0.2, 1e-6])
+    # -dc/da = mu l on the active members, below mu l on the floored one.
+    grad = -3.0 * lengths * np.array([1.0, 1.0, 1.0, 0.5])
+    assert kkt_residual(grad, a, lengths, 1e-6) == pytest.approx(0.0, abs=1e-15)
+    # A floored member that would grow, and an unbalanced active one.
+    grad_up = grad.copy()
+    grad_up[3] = -3.0 * lengths[3] * 1.25
+    assert kkt_residual(grad_up, a, lengths, 1e-6) == pytest.approx(0.25)
+    grad_off = grad * np.array([1.0, 1.0, 1.1, 1.0])
+    assert 0.0 < kkt_residual(grad_off, a, lengths, 1e-6) < 0.1
+    # Scale-free: the residual ignores the units of the compliance.
+    assert kkt_residual(1e6 * grad_off, a, lengths, 1e-6) == \
+        pytest.approx(kkt_residual(grad_off, a, lengths, 1e-6), rel=1e-12)
+    # No active member, or no positive multiplier: no KKT point.
+    assert kkt_residual(grad, np.full(4, 1e-6), lengths, 1e-6) == math.inf
+    assert kkt_residual(-grad, a, lengths, 1e-6) == math.inf
+
+
+@pytest.mark.parametrize("gs, max_iter", [
+    (problems.cantilever(100), 600),
+    (make_girder(n_e=11, volume=0.44), 100),
+], ids=["cantilever-100", "girder-11"])
+def test_nlp_stops_at_float_floor_on_kkt_residual(gs, max_iter):
+    # The projected-gradient measure floors above stat_tol in these units
+    # (1.1e-7 and 1.4e-6); the scale-free KKT residual still certifies
+    # the design, which is oc's optimum.
+    r = run_local_nlp(gs)
+    assert (r.status, r.reason) == ("converged", "kkt residual met")
+    assert r.iterations <= max_iter
+    assert r.stationarity > NlpConfig().stat_tol
+    assert r.diagnostics["kkt_residual"] <= local.KKT_TOL
+    oc = run_oc(gs)
+    assert r.compliance == pytest.approx(oc.compliance, rel=1e-8)
+
+
 def make_grid_cell(volume: float, loads: list) -> GroundStructure:
     """One unit cell of circular beams with both diagonals, clamped along
     its left edge (nodes 1 and 3)."""
@@ -406,7 +444,9 @@ def test_nsdp_converged_design_meets_volume_bound(case):
 def test_local_results_name_their_stop_reason(girder):
     assert run_oc(make_cantilever(3)).reason == "criterion met"
     assert run_oc(make_cantilever(3), OcConfig(max_iter=2)).reason == "iteration limit"
-    assert run_local_nlp(make_cantilever(3)).reason == "criterion met"
+    nlp = run_local_nlp(make_cantilever(3))
+    assert nlp.reason == "criterion met"
+    assert nlp.diagnostics["kkt_residual"] <= 1e-6
     capped = run_local_nlp(make_cantilever(3), NlpConfig(max_iter=3))
     assert (capped.status, capped.reason, capped.iterations) == ("iter-limit", "iteration limit", 3)
     infeasible = run_nsdp_local(girder)

@@ -6,17 +6,21 @@ import numpy as np
 import pytest
 from scipy.linalg import eigvalsh
 
+from frameopt import problems
 from frameopt.analysis import compliance
 from frameopt.model import FrameAssembly, GroundStructure, uniform_design
 from frameopt.nsdp import (
+    PSD_RTOL,
     IncompatibleLoadError,
     NsdpConfig,
+    NsdpPenalty,
     build_compliance_lmi,
     check_schur_equivalence,
     run_nsdp_local,
+    smallest_eigenpair,
 )
 
-from conftest import make_cantilever, rng
+from conftest import make_cantilever, make_girder, rng
 
 PSD_TOL = 1e-8
 
@@ -140,6 +144,125 @@ def test_schur_oracle_incompatible_load(cantilever3):
         check_schur_equivalence(cantilever3, np.zeros(3), 10.0)
 
 
+# -- banded smallest eigenpair ------------------------------------------------
+
+def assert_banded_eigenpair_matches_dense(gs, a, c):
+    """The banded secular solve against eigvalsh of the dense D G D, with D
+    the Jacobi scaling a penalty run started at (a, c) uses."""
+    lmi = NsdpPenalty(gs, a, c).lmi
+    lam, v, factorizations = smallest_eigenpair(*lmi.parts(a, c))
+    g = build_compliance_lmi(gs, a, c) * np.outer(lmi.d, lmi.d)
+    dense = eigvalsh(g)
+    norm = max(1.0, abs(dense[0]), abs(dense[-1]))
+    scale = max(abs(dense[0]), abs(dense[-1]), 1.0)
+    assert (lam >= -PSD_RTOL * scale) == (dense[0] >= -PSD_RTOL * scale)
+    assert abs(lam - min(dense[0], 0.0)) <= 1e-12 * norm
+    assert factorizations >= 1
+    if v is None:
+        assert lam == 0.0
+    else:
+        assert lam < 0.0
+        assert np.linalg.norm(g @ v - lam * v) <= 1e-10 * norm
+    return lam
+
+
+def test_scaled_lmi_parts_equal_dense_entries():
+    # The banded pieces are the dense D G D's entries, bit for bit.
+    for gs in (make_cantilever(5), make_girder(), make_girder("consistent")):
+        a = uniform_design(gs) * rng(3).uniform(0.5, 1.5, gs.n_elements)
+        lmi = NsdpPenalty(gs, a, 7.0).lmi
+        c, f, band = lmi.parts(a, 7.0)
+        g = lmi.dense(a, 7.0)
+        u, n = gs.assembly.half_bandwidth, f.size
+        assert c == g[0, 0]
+        assert np.array_equal(f, -g[1:, 0])
+        for j in range(n):
+            for i in range(max(0, j - u), j + 1):
+                assert band[u + i - j, j] == g[1 + i, 1 + j]
+
+
+SHIPPED = [case.name for case in problems.build_benchmarks()]
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_banded_eigenpair_on_shipped_cases(name):
+    gs = problems.benchmark_case(name).build()
+    a = uniform_design(gs)
+    c_star = compliance(gs, a).compliance
+    signs = [assert_banded_eigenpair_matches_dense(gs, a, factor * c_star) < 0.0
+             for factor in (0.5, 0.9, 1.1, 2.0)]
+    assert signs == [True, True, False, False]
+
+
+@pytest.mark.parametrize("name", [case.name for case in problems.build_benchmarks()
+                                  if "nsdp" in case.methods])
+def test_banded_eigenpair_with_zero_areas(name):
+    # About 30% exact zeros leave K singular: dangling DOFs and mechanisms.
+    # Steps from lambda = 0 that only see the nearest poles would creep
+    # there; the fitted pole and the bracket must still reach the root.
+    gs = problems.benchmark_case(name).build()
+    gen = rng(41)
+    a_typ = uniform_design(gs)
+    c_ref = compliance(gs, a_typ).compliance
+    negative = 0
+    for _ in range(10):
+        a = a_typ * gen.uniform(0.05, 2.0, gs.n_elements)
+        a[gen.random(gs.n_elements) < 0.3] = 0.0
+        for factor in (0.5, 0.9, 1.1, 2.0):
+            negative += assert_banded_eigenpair_matches_dense(gs, a, factor * c_ref) < 0.0
+    assert negative > 0
+
+
+def test_banded_eigenpair_dangling_ten_beam(ten_beam):
+    # The design of test_schur_oracle_zero_area_dangling: node 6 dangles.
+    a = np.full(10, 0.05)
+    a[[k for k, e in enumerate(ten_beam.elements) if 6 in (e.node_a, e.node_b)]] = 0.0
+    c_ref = compliance(ten_beam, np.full(10, 0.05)).compliance
+    for factor in (0.5, 0.9, 1.1, 2.0):
+        assert_banded_eigenpair_matches_dense(ten_beam, a, factor * c_ref)
+
+
+def test_banded_eigenpair_self_weight_girder():
+    gs = make_girder("consistent")
+    a = uniform_design(gs)
+    c_star = compliance(gs, a).compliance
+    for factor in (0.5, 0.9, 1.1, 2.0):
+        lam = assert_banded_eigenpair_matches_dense(gs, a, factor * c_star)
+        assert (lam < 0.0) == (factor < 1.0)
+
+
+def test_banded_eigenpair_block_diagonal():
+    # f = 0: the only negative eigenvalue is c itself, with no factorization.
+    band = np.asfortranarray(np.array([[0.0, 0.5], [1.0, 2.0]]))
+    lam, v, factorizations = smallest_eigenpair(-0.25, np.zeros(2), band)
+    assert (lam, factorizations) == (-0.25, 0)
+    assert np.array_equal(v, [1.0, 0.0, 0.0])
+    assert smallest_eigenpair(0.25, np.zeros(2), band)[:2] == (0.0, None)
+
+
+@pytest.mark.parametrize("gs", [make_cantilever(3), make_girder()], ids=["cantilever-3", "girder"])
+def test_penalty_gradient_matches_central_differences(gs):
+    # An infeasible point: c below the FEM compliance, so G has a negative
+    # eigenvalue, and the volume above its bound, so both penalties act.
+    a0 = uniform_design(gs)
+    c0 = compliance(gs, a0).compliance
+    phi = NsdpPenalty(gs, a0, 1.1 * c0)
+    a = a0 * rng(5).uniform(0.9, 1.2, gs.n_elements)
+    x = np.concatenate([a, [0.7 * c0]])
+    args = (100.0, 1e-3, 1.0)
+    _, grad = phi(x, *args)
+    assert eigvalsh(phi.lmi.dense(a, x[-1]))[0] < 0.0
+    assert gs.assembly.lengths @ a > gs.volume_bound
+    fd = np.empty_like(x)
+    for i in range(x.size):
+        h = 1e-6 * abs(x[i])
+        up, down = x.copy(), x.copy()
+        up[i] += h
+        down[i] -= h
+        fd[i] = (phi(up, *args)[0] - phi(down, *args)[0]) / (2.0 * h)
+    assert np.allclose(grad, fd, rtol=1e-6, atol=1e-8 * np.max(np.abs(fd)))
+
+
 # -- penalty solver -----------------------------------------------------------
 
 def test_nsdp_single_element_cantilever():
@@ -186,3 +309,12 @@ def test_nsdp_deterministic(cantilever3):
     r2 = run_nsdp_local(cantilever3)
     assert np.array_equal(r1.areas, r2.areas)
     assert r1.compliance == r2.compliance
+
+
+def test_nsdp_counts_evaluations_and_factorizations(cantilever3):
+    r = run_nsdp_local(cantilever3)
+    evaluations, eig_solves = r.diagnostics["evaluations"], r.diagnostics["eig_solves"]
+    # At least the one decision factor per evaluation, and each L-BFGS
+    # iteration costs at least one evaluation.
+    assert evaluations >= sum(nit for _, nit, _ in r.diagnostics["stages"])
+    assert evaluations <= eig_solves <= 100 * evaluations
