@@ -18,8 +18,9 @@ monomials of degree <= 2r:
                 y_0 = 1,
 
 all expressible in the dual SDP form the interior-point solver consumes.  The
-solver is handed the problem with y_0 = 1 substituted, so it sees no equality
-constraint.  The SDP optimum is a lower bound on the global compliance; the
+solver is handed that problem as it stands, y_0 = 1 included, and eliminates
+the equality in its own presolve; solutions come back in full moment
+coordinates.  The SDP optimum is a lower bound on the global compliance; the
 repaired first-moment design gives an FEM upper bound.  The gap between them
 closing (or the moment matrix going flat, reported alongside) certifies that a
 global optimum has been found.
@@ -305,9 +306,10 @@ def build_relaxation(sp: ScaledProblem, r: int) -> Relaxation:
 class RelaxationSolution:
     """One solved order, in full moment coordinates.
 
-    `y` and `lower` refer to `Relaxation.problem` (y[0] = 1 exactly); `sdp`
-    is the solver's result on the reduced problem without y_0, whose
-    variables are y[1:] and whose objective omits the constant b_0.
+    `y`, `lower` and `sdp` all refer to `Relaxation.problem`, y_0 = 1
+    included: the solver eliminates that equality itself, so y[0] is exactly
+    1.  `lower` equals `sdp.objective` here; it is kept apart as the bound
+    the certificate uses.
     """
 
     y: np.ndarray
@@ -316,32 +318,11 @@ class RelaxationSolution:
     sdp: SdpSolution
 
 
-def _substitute_y0(problem: SdpProblem) -> SdpProblem:
-    """Eliminate y_0 = 1: C(k) -= A_0(k) per block, drop variable 0 and E.
-
-    Moment SDPs are degenerate near optimality, and carrying the single
-    equality through the Newton system loses positive definiteness there;
-    the reduced problem has no equalities at all.
-    """
-    blocks = []
-    for blk in problem.blocks:
-        at0 = blk.var == 0
-        a0 = np.zeros((blk.n, blk.n))
-        np.add.at(a0, (blk.row[at0], blk.col[at0]), blk.val[at0])
-        a0 += np.triu(a0, 1).T
-        keep = ~at0
-        blocks.append(SdpBlock(blk.n, blk.c - a0, blk.var[keep] - 1,
-                               blk.row[keep], blk.col[keep], blk.val[keep]))
-    return SdpProblem(problem.b[1:], blocks)
-
-
 def solve_relaxation(rel: Relaxation,
                      cfg: SdpConfig | None = None) -> RelaxationSolution:
-    """Solve one order with y_0 = 1 substituted; the optimum is the lower bound."""
-    sol = solve_sdp(_substitute_y0(rel.problem), cfg or MOMENT_SDP_CONFIG)
-    y = np.concatenate(([1.0], sol.y))
-    lower = float(rel.problem.b[0]) + float(sol.objective)
-    return RelaxationSolution(y, lower, sol.status, sol)
+    """Solve one order; the SDP optimum is the lower bound."""
+    sol = solve_sdp(rel.problem, cfg or MOMENT_SDP_CONFIG)
+    return RelaxationSolution(sol.y, sol.objective, sol.status, sol)
 
 
 def moment_matrix(rel: Relaxation, y: np.ndarray,

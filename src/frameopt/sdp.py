@@ -6,15 +6,23 @@ Problem form, with one vector variable y of length m:
     subject to  S_k(y) = sum_i y_i A_i(k) - C(k)  >=  0   (PSD, per block k)
                 E y = d
 
-The dual introduces a PSD matrix Z_k per block and a multiplier nu for the
-equalities: maximize sum_k <C(k), Z_k> + d'nu subject to
-sum_k <A_i(k), Z_k> + (E'nu)_i = b_i and Z_k >= 0.  The gap between the two
-objectives on any iterate equals
+A presolve eliminates the equalities.  A pivoted QR factorization
+E P = Q [R11 R12] picks k basic variables B, so that y_B = y0 - T y_N with
+y0 = R11^-1 Q'd and T = R11^-1 R12.  Substituted, C' = C - sum_B y0_b A_b,
+A'_j = A_j - sum_B T_bj A_b and b' = b_N - T'b_B.  The non-basic variables keep
+their order, A'_j gains entries only where T_bj != 0 (none for the y_0 = 1 of
+a moment relaxation), and the constant b_B'y0 returns on both objectives.
+After the solve, y is rebuilt in the caller's coordinates and the multiplier
+nu = Q R11^-T (b_B - A_B*(Z)) makes the dual residual exact on the basic rows.
 
-    <S, Z> + rd'y - <rp, Z> - re'nu
+The iteration thus sees no equality.  Its dual maximizes sum_k <C(k), Z_k>
+subject to sum_k <A_i(k), Z_k> = b_i and Z_k >= 0, and the gap between the
+two objectives on any iterate equals
 
-exactly, where rp, rd, re are the residuals of the three linear equations, so
-weak duality holds up to rounding whenever the residuals are small.
+    <S, Z> + rd'y - <rp, Z>
+
+exactly, where rp and rd are the primal and dual residuals, so weak duality
+holds up to rounding whenever the residuals are small.
 
 The solver follows the scaled Mehrotra predictor-corrector recipe: Nesterov-
 Todd scaling points are computed per block from Cholesky factors of S and Z
@@ -33,12 +41,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, cholesky, eigvalsh, solve_triangular, svd
-
+from scipy.linalg import (LinAlgError, cho_factor, cho_solve, cholesky, eigvalsh, qr,
+                          solve_triangular, svd)
 
 class SdpError(ValueError):
     """Malformed SDP data."""
@@ -115,8 +123,8 @@ class SdpProblem:
         self.b = np.atleast_1d(np.asarray(self.b, dtype=float))
         m = self.b.size
         for blk in self.blocks:
-            if blk.var.size and blk.var.max() >= m:
-                raise SdpError("block references a variable beyond len(b)")
+            if blk.var.size and (blk.var.min() < 0 or blk.var.max() >= m):
+                raise SdpError("block references a variable outside 0 .. len(b) - 1")
         if self.e is None:
             self.e = np.zeros((0, m))
         self.e = np.atleast_2d(np.asarray(self.e, dtype=float))
@@ -303,22 +311,69 @@ def _chol(mat: np.ndarray) -> np.ndarray:
         return cholesky(mat + bump * np.eye(mat.shape[0]), lower=True, check_finite=False)
 
 
-def solve_sdp(p: SdpProblem, cfg: SdpConfig | None = None) -> SdpSolution:
-    """Scaled predictor-corrector path following; deterministic and seed-free."""
-    cfg = cfg or SdpConfig()
-    m = p.m
-    if not p.blocks:
-        return _solve_unconstrained(p)
+class _Presolve:
+    """E y = d solved for the basic variables, y_B = y0 - T y_N; `problem`
+    is the equality-free rest, and `restore` maps its solution back."""
 
+    def __init__(self, p: SdpProblem):
+        k = p.d.size
+        q, r, piv = qr(p.e, pivoting=True)
+        order = np.argsort(piv[k:])
+        self.basic, self.nonbasic, self.q, self.r11 = piv[:k], piv[k:][order], q, r[:, :k]
+        self.t = solve_triangular(self.r11, r[:, k:][:, order], check_finite=False)
+        self.y0 = solve_triangular(self.r11, q.T @ p.d, check_finite=False)
+        self.b_basic = p.b[self.basic]
+        self.offset = float(self.b_basic @ self.y0)
+        # Dense A_b of each basic variable, per block.
+        self.a_basic = [[blk.coefficient(i) for blk in p.blocks] for i in self.basic]
+        index = np.full(p.m, -1)
+        index[self.nonbasic] = np.arange(self.nonbasic.size)
+        blocks = []
+        for kb, blk in enumerate(p.blocks):
+            c = blk.c - sum(y0_i * a_i[kb] for y0_i, a_i in zip(self.y0, self.a_basic))
+            keep = index[blk.var] >= 0
+            parts = [(index[blk.var[keep]], blk.row[keep], blk.col[keep], blk.val[keep])]
+            for i, t_i in zip(self.basic, self.t):
+                at, js = blk.var == i, np.flatnonzero(t_i)
+                parts.append((np.repeat(js, np.count_nonzero(at)), np.tile(blk.row[at], js.size),
+                              np.tile(blk.col[at], js.size),
+                              np.outer(-t_i[js], blk.val[at]).ravel()))
+            blocks.append(SdpBlock(blk.n, c, *map(np.concatenate, zip(*parts))))
+        self.problem = SdpProblem(p.b[self.nonbasic] - self.t.T @ self.b_basic, blocks)
+
+    def restore(self, sol: SdpSolution) -> SdpSolution:
+        """The solution of `problem` in the caller's coordinates, with nu."""
+        y = np.empty(self.basic.size + self.nonbasic.size)
+        y[self.nonbasic], y[self.basic] = sol.y, self.y0 - self.t @ sol.y
+        a_z = np.array([sum(float(np.tensordot(a, z)) for a, z in zip(a_i, sol.z))
+                        for a_i in self.a_basic])
+        nu = self.q @ solve_triangular(self.r11, self.b_basic - a_z, trans="T", check_finite=False)
+        obj, dobj = sol.objective + self.offset, sol.dual_objective + self.offset
+        return replace(sol, y=y, nu=nu, objective=obj, dual_objective=dobj,
+                       rel_gap=sol.gap / (1.0 + abs(obj) + abs(dobj)))
+
+
+def solve_sdp(p: SdpProblem, cfg: SdpConfig | None = None) -> SdpSolution:
+    """Eliminate E y = d, then path-follow; deterministic and seed-free."""
+    pre = _Presolve(p)
+    q = pre.problem
+    if q.blocks:
+        return pre.restore(_interior_point(q, cfg or SdpConfig()))
+    # Without blocks, min b'y over all y is bounded only if b' vanishes.
+    bounded = np.linalg.norm(q.b) <= 1e-9 * (1.0 + np.linalg.norm(p.b))
+    return pre.restore(SdpSolution(
+        np.zeros(q.m), np.zeros(0), [], 0.0, 0.0, 0.0, 0.0,
+        "optimal" if bounded else "unbounded", 0,
+        {"reason": "no PSD blocks" if bounded else "objective not in row space"}))
+
+
+def _interior_point(p: SdpProblem, cfg: SdpConfig) -> SdpSolution:
+    """Scaled predictor-corrector path following on an equality-free problem."""
+    m = p.m
     blocks = [_BlockData(blk, m) for blk in p.blocks]
     n_total = sum(bd.n for bd in blocks)
-    # Row-normalize the equalities; nu is rescaled back on exit.
-    e_norms = np.maximum(np.linalg.norm(p.e, axis=1), 1.0) if p.d.size else np.zeros(0)
-    e_int = p.e / e_norms[:, None] if p.d.size else p.e
-    d_int = p.d / e_norms if p.d.size else p.d
 
     y = np.zeros(m)
-    nu = np.zeros(p.d.size)
     b_scale = 1.0 + float(np.abs(p.b).max(initial=0.0))
     s_mats = [max(10.0, math.sqrt(bd.n), np.linalg.norm(bd.c)) * np.eye(bd.n) for bd in blocks]
     z_mats = [max(10.0, math.sqrt(bd.n), b_scale) * np.eye(bd.n) for bd in blocks]
@@ -336,30 +391,28 @@ def solve_sdp(p: SdpProblem, cfg: SdpConfig | None = None) -> SdpSolution:
     for it in range(1, cfg.max_iter + 1):
         iterations = it
         clock.start("metrics")
-        # Residuals of S = A(y) - C, Ey = d, A'(Z) + E'nu = b; a full Newton
-        # step with ds = A(dy) - rp etc. zeroes all three.
+        # Residuals of S = A(y) - C and A'(Z) = b; a full Newton step with
+        # ds = A(dy) - rp etc. zeroes both.
         rp = [bd.c + s - bd.apply(y) for bd, s in zip(blocks, s_mats)]
-        re = d_int - e_int @ y
-        rd = p.b - e_int.T @ nu
+        rd = p.b.copy()
         for bd, z in zip(blocks, z_mats):
             rd -= bd.adjoint(z)
         mu = sum(float(np.tensordot(s, z)) for s, z in zip(s_mats, z_mats)) / n_total
 
-        metrics = _convergence_metrics(p, blocks, y, nu, z_mats, rp, rd, re)
+        metrics = _convergence_metrics(p, blocks, y, z_mats, rd)
         # gap - correction = <S, Z> exactly; recorded so the weak-duality
         # identity can be audited on every iterate.
-        correction = float(rd @ y) - float(re @ nu) - sum(
+        correction = float(rd @ y) - sum(
             float(np.tensordot(rp_k, z)) for rp_k, z in zip(rp, z_mats))
         history.append({"iteration": it, "mu": mu, "duality_correction": correction,
                         **metrics})
         if not math.isfinite(mu):
             status, reason = "numerical-failure", "non-finite iterate"
             break
-        score = max(metrics["rel_gap_abs"], metrics["rel_eq"], metrics["rel_dual"],
-                    metrics["rel_psd_violation"])
+        score = max(metrics["rel_gap_abs"], metrics["rel_dual"], metrics["rel_psd_violation"])
         if score < best_score:
             best_score = score
-            best = (y.copy(), nu.copy(), [z.copy() for z in z_mats], metrics)
+            best = (y.copy(), [z.copy() for z in z_mats], metrics)
             since_best = 0
         else:
             # Degenerate problems grind to a halt with mu still shrinking;
@@ -412,23 +465,15 @@ def solve_sdp(p: SdpProblem, cfg: SdpConfig | None = None) -> SdpSolution:
                 h = -rd
                 for bd, (_, _, _, _, winv, _), n_mat, rp_k in zip(blocks, factors, n_mats, rp):
                     h = h + bd.adjoint(n_mat + winv @ rp_k @ winv)
-                if p.d.size:
-                    minv_h = cho_solve(schur_f, h, check_finite=False)
-                    minv_et = cho_solve(schur_f, e_int.T, check_finite=False)
-                    lhs = e_int @ minv_et
-                    dnu = np.linalg.solve(lhs, re - e_int @ minv_h)
-                    dy = minv_h + minv_et @ dnu
-                else:
-                    dnu = np.zeros(0)
-                    dy = cho_solve(schur_f, h, check_finite=False)
+                dy = cho_solve(schur_f, h, check_finite=False)
                 ds = [bd.apply(dy) - rp_k for bd, rp_k in zip(blocks, rp)]
                 dz = [n_mat - winv @ ds_k @ winv
                       for (_, _, _, _, winv, _), n_mat, ds_k in zip(factors, n_mats, ds)]
-                return dy, dnu, ds, dz
+                return dy, ds, dz
 
             clock.start("step")
             # Predictor: target sym(V dZ~ + dS~ V) = -V^2, whose unscaled N is -Z.
-            dy_a, dnu_a, ds_a, dz_a = newton([-z for z in z_mats])
+            dy_a, ds_a, dz_a = newton([-z for z in z_mats])
             alpha_pa = min(1.0, min(_max_step(f[0], d) for f, d in zip(factors, ds_a)))
             alpha_da = min(1.0, min(_max_step(f[1], d) for f, d in zip(factors, dz_a)))
             mu_aff = sum(float(np.tensordot(s + alpha_pa * ds_k, z + alpha_da * dz_k))
@@ -444,7 +489,7 @@ def solve_sdp(p: SdpProblem, cfg: SdpConfig | None = None) -> SdpSolution:
                 rc = sigma * mu * np.eye(len(sig)) - np.diag(sig * sig) - 0.5 * (cross + cross.T)
                 t_mat = 2.0 * rc / np.add.outer(sig, sig)
                 n_mats.append(ginv.T @ t_mat @ ginv)
-            dy, dnu, ds, dz = newton(n_mats)
+            dy, ds, dz = newton(n_mats)
 
             alpha_p = min(1.0, cfg.step_fraction * min(_max_step(f[0], d)
                                                        for f, d in zip(factors, ds)))
@@ -453,7 +498,6 @@ def solve_sdp(p: SdpProblem, cfg: SdpConfig | None = None) -> SdpSolution:
             history[-1].update({"alpha_p": alpha_p, "alpha_d": alpha_d, "sigma": sigma})
 
             y = y + alpha_p * dy
-            nu = nu + alpha_d * dnu
             s_mats = [0.5 * ((s + alpha_p * d) + (s + alpha_p * d).T) for s, d in zip(s_mats, ds)]
             z_mats = [0.5 * ((z + alpha_d * d) + (z + alpha_d * d).T) for z, d in zip(z_mats, dz)]
 
@@ -470,7 +514,7 @@ def solve_sdp(p: SdpProblem, cfg: SdpConfig | None = None) -> SdpSolution:
             stall = 0
 
     clock.start(None)
-    y_best, nu_best, z_best, met = best if best is not None else (y, nu, z_mats, metrics)
+    y_best, z_best, met = best if best is not None else (y, z_mats, metrics)
     if status not in ("optimal", "unbounded", "infeasible"):
         if _is_within(met, cfg.tol_feas, cfg.tol_gap):
             status = "optimal"
@@ -482,11 +526,9 @@ def solve_sdp(p: SdpProblem, cfg: SdpConfig | None = None) -> SdpSolution:
             status = "infeasible"
 
     # Internal pencils are the originals over bd.scale, so the dual matrix in
-    # original units is Z/scale; likewise nu picks up the row normalization.
-    z_out = [z / bd.scale for bd, z in zip(blocks, z_best)]
-    nu_out = nu_best / e_norms if p.d.size else nu_best
+    # original units is Z/scale.
     return SdpSolution(
-        y=y_best, nu=nu_out, z=z_out,
+        y=y_best, nu=np.zeros(0), z=[z / bd.scale for bd, z in zip(blocks, z_best)],
         objective=met["objective"], dual_objective=met["dual_objective"],
         gap=met["gap"], rel_gap=met["rel_gap"], status=status, iterations=iterations,
         diagnostics={"history": history, "reason": reason, "best_score": best_score,
@@ -495,7 +537,7 @@ def solve_sdp(p: SdpProblem, cfg: SdpConfig | None = None) -> SdpSolution:
     )
 
 
-def _convergence_metrics(p, blocks, y, nu, z_mats, rp, rd, re) -> dict:
+def _convergence_metrics(p, blocks, y, z_mats, rd) -> dict:
     """Original-scale objective values and relative residuals for one iterate."""
     pobj = float(p.b @ y)
     dobj = 0.0
@@ -506,11 +548,6 @@ def _convergence_metrics(p, blocks, y, nu, z_mats, rp, rd, re) -> dict:
         lam = eigvalsh(slack, check_finite=False)[0]
         scale = 1.0 + float(np.linalg.norm(slack))
         psd_viol = max(psd_viol, max(0.0, -lam) / scale)
-    if p.d.size:
-        dobj += float((p.d / np.maximum(np.linalg.norm(p.e, axis=1), 1.0)) @ nu)
-        eq = float(np.linalg.norm(re)) / (1.0 + float(np.linalg.norm(p.d)))
-    else:
-        eq = 0.0
     gap = pobj - dobj
     denom = 1.0 + abs(pobj) + abs(dobj)
     return {
@@ -519,41 +556,20 @@ def _convergence_metrics(p, blocks, y, nu, z_mats, rp, rd, re) -> dict:
         "gap": gap,
         "rel_gap": gap / denom,
         "rel_gap_abs": abs(gap) / denom,
-        "rel_eq": eq,
         "rel_dual": float(np.linalg.norm(rd)) / (1.0 + float(np.linalg.norm(p.b))),
         "rel_psd_violation": psd_viol,
     }
 
 
 def _is_within(metrics: dict, tol_feas: float, tol_gap: float) -> bool:
-    return (metrics["rel_eq"] <= tol_feas and metrics["rel_dual"] <= tol_feas
-            and metrics["rel_psd_violation"] <= tol_feas
+    return (metrics["rel_dual"] <= tol_feas and metrics["rel_psd_violation"] <= tol_feas
             and metrics["rel_gap_abs"] <= tol_gap)
-
-
-def _solve_unconstrained(p: SdpProblem) -> SdpSolution:
-    """No PSD blocks: the problem is a linear program over Ey = d alone."""
-    m = p.m
-    if p.d.size == 0:
-        status = "optimal" if not np.any(p.b) else "unbounded"
-        return SdpSolution(np.zeros(m), np.zeros(0), [], 0.0, 0.0, 0.0, 0.0, status, 0,
-                           {"reason": "no constraints"})
-    y, *_ = np.linalg.lstsq(p.e, p.d, rcond=None)
-    nu, *_ = np.linalg.lstsq(p.e.T, p.b, rcond=None)
-    if np.linalg.norm(p.e.T @ nu - p.b) > 1e-9 * (1.0 + np.linalg.norm(p.b)):
-        return SdpSolution(y, nu, [], float(p.b @ y), -np.inf, np.inf, np.inf,
-                           "unbounded", 0, {"reason": "objective not in row space"})
-    obj = float(p.b @ y)
-    dobj = float(p.d @ nu)
-    gap = obj - dobj
-    return SdpSolution(y, nu, [], obj, dobj, gap, abs(gap) / (1 + abs(obj) + abs(dobj)),
-                       "optimal", 0, {"reason": "equality-constrained LP"})
 
 
 def check_kkt(p: SdpProblem, sol: SdpSolution) -> KktReport:
     """Recompute all optimality residuals from the original problem data."""
     y = np.asarray(sol.y, dtype=float)
-    rd = p.b - p.e.T @ sol.nu if p.d.size else p.b.copy()
+    rd = p.b - p.e.T @ sol.nu
     comp = 0.0
     slack_eigs = []
     dual_eigs = []
@@ -568,9 +584,8 @@ def check_kkt(p: SdpProblem, sol: SdpSolution) -> KktReport:
         slack_eigs.append(float(eigvalsh(slack, check_finite=False)[0]))
         dual_eigs.append(float(eigvalsh(z, check_finite=False)[0]))
         np.subtract.at(rd, full_var, full_val * z[full_row, full_col])
-    eq = float(np.linalg.norm(p.e @ y - p.d)) if p.d.size else 0.0
     return KktReport(
-        equality_residual=eq,
+        equality_residual=float(np.linalg.norm(p.e @ y - p.d)),
         dual_residual=float(np.linalg.norm(rd)),
         complementarity=comp,
         slack_min_eigs=tuple(slack_eigs),

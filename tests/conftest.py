@@ -25,7 +25,7 @@ from frameopt.model import (
     Support,
     band_rows,
 )
-from frameopt.sdp import SdpBlock
+from frameopt.sdp import SdpBlock, SdpProblem
 
 TIP_FX = math.cos(math.pi / 6.0)
 TIP_FY = -math.sin(math.pi / 6.0)
@@ -114,6 +114,24 @@ def block_from_matrices(c, mats) -> SdpBlock:
         val.extend(mat[r, s])
     return SdpBlock(len(c), c, np.array(var, int), np.array(row, int),
                     np.array(col, int), np.array(val, float))
+
+
+def substitute_y0(problem) -> SdpProblem:
+    """Eliminate y_0 = 1 by hand: C(k) -= A_0(k) per block, drop variable 0 and E.
+
+    The reference the solver's equality presolve must reproduce bit for bit
+    on a moment relaxation.
+    """
+    blocks = []
+    for blk in problem.blocks:
+        at0 = blk.var == 0
+        a0 = np.zeros((blk.n, blk.n))
+        np.add.at(a0, (blk.row[at0], blk.col[at0]), blk.val[at0])
+        a0 += np.triu(a0, 1).T
+        keep = ~at0
+        blocks.append(SdpBlock(blk.n, blk.c - a0, blk.var[keep] - 1,
+                               blk.row[keep], blk.col[keep], blk.val[keep]))
+    return SdpProblem(problem.b[1:], blocks)
 
 
 def kkt_primal_residual(report) -> float:

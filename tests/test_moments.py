@@ -5,12 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_cantilever, pmi_at, rng
+from conftest import make_cantilever, pmi_at, rng, substitute_y0
 from frameopt import moments
 from frameopt.analysis import compliance
 from frameopt.model import GroundStructure
 from frameopt.moments import (
-    MOMENT_SDP_CONFIG,
     HierarchyConfig,
     Relaxation,
     build_relaxation,
@@ -24,7 +23,7 @@ from frameopt.moments import (
     scale_problem,
     solve_relaxation,
 )
-from frameopt.sdp import SdpConfig, solve_sdp
+from frameopt.sdp import SdpConfig, _Presolve, solve_sdp
 
 PSD_TOL = 1e-8
 # Frozen local-solver reference for the three-element cantilever.
@@ -134,9 +133,10 @@ def test_block_layout_single_element_cantilever():
         build_relaxation(sp, 0)
 
 
-def test_solve_relaxation_substitutes_y0(cantilever3, monkeypatch):
-    # The solver sees the problem with y_0 = 1 eliminated: no equality rows,
-    # one variable fewer, and the same optimum once b_0 is added back.
+def test_solve_relaxation_leaves_y0_to_the_solver(cantilever3, girder, monkeypatch):
+    # solve_relaxation hands the solver its problem unchanged, y_0 = 1
+    # included; the solver's presolve removes that equality with exactly the
+    # arithmetic of the hand substitution, so the Newton system never sees it.
     rel = build_relaxation(scale_problem(cantilever3), 1)
     seen = []
 
@@ -146,12 +146,20 @@ def test_solve_relaxation_substitutes_y0(cantilever3, monkeypatch):
 
     monkeypatch.setattr(moments, "solve_sdp", spy)
     rsol = solve_relaxation(rel)
-    (reduced,) = seen
-    assert reduced.e.shape == (0, rel.n_moments - 1) and reduced.d.size == 0
-    assert rel.problem.e.shape == (1, rel.n_moments)
+    assert len(seen) == 1 and seen[0] is rel.problem
     assert rsol.y.shape == (rel.n_moments,) and rsol.y[0] == 1.0
-    full = solve_sdp(rel.problem, MOMENT_SDP_CONFIG)
-    assert rsol.lower == pytest.approx(full.objective, rel=1e-6)
+    assert rsol.lower == rsol.sdp.objective
+
+    for gs, r in ((cantilever3, 2), (girder, 1)):
+        problem = build_relaxation(scale_problem(gs), r).problem
+        got, want = _Presolve(problem).problem, substitute_y0(problem)
+        assert got.e.shape == (0, problem.m - 1)
+        assert np.array_equal(got.b, want.b)
+        assert len(got.blocks) == len(want.blocks)
+        for g, w in zip(got.blocks, want.blocks):
+            for name in ("c", "var", "row", "col", "val"):
+                a, b = getattr(g, name), getattr(w, name)
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
 @pytest.mark.parametrize("fixture", ["cantilever3", "ten_beam", "girder"])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from frameopt.moments import _substitute_y0, build_relaxation, scale_problem
+from frameopt.moments import build_relaxation, scale_problem
 from frameopt.problems import cantilever
 from frameopt.sdp import (
     SdpBlock,
@@ -11,6 +11,7 @@ from frameopt.sdp import (
     SdpError,
     SdpProblem,
     _BlockData,
+    _Presolve,
     check_kkt,
     solve_sdp,
 )
@@ -112,6 +113,43 @@ def test_simple_equality_pins_answer():
     assert np.allclose(sol.y, [1.0, 1.0], atol=1e-6)
 
 
+def dual_residual_vector(p, sol):
+    """b - A'(Z) - E'nu, entry by entry, from the dense coefficients."""
+    rd = p.b - p.e.T @ sol.nu
+    for blk, z in zip(p.blocks, sol.z):
+        rd -= [np.tensordot(blk.coefficient(i), z) for i in range(p.m)]
+    return rd
+
+
+def test_presolve_eliminates_general_equalities():
+    p, _ = constructed_problem(rng(7), with_equalities=True)
+    pre = _Presolve(p)
+    assert pre.problem.e.shape == (0, p.m - 2) and pre.problem.d.size == 0
+    assert pre.basic.size == 2
+    sol = solve_sdp(p)
+    assert sol.status == "optimal" and sol.y.shape == (p.m,)
+    assert np.linalg.norm(p.e @ sol.y - p.d) <= 1e-12 * (1.0 + np.linalg.norm(p.d))
+    # nu makes the dual residual vanish on the basic rows up to roundoff.
+    rd = dual_residual_vector(p, sol)
+    scale = np.linalg.norm(p.b) + sum(np.linalg.norm(z) for z in sol.z)
+    assert np.abs(rd[pre.basic]).max() <= 1e-13 * scale
+    assert np.linalg.norm(rd) == pytest.approx(check_kkt(p, sol).dual_residual,
+                                               rel=1e-6, abs=1e-13 * scale)
+
+
+def test_equalities_without_blocks():
+    e = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0]])
+    d = np.array([3.0, 1.0])
+    nu = np.array([0.5, -2.0])
+    sol = solve_sdp(SdpProblem(b=e.T @ nu, blocks=[], e=e, d=d))
+    assert sol.status == "optimal"
+    assert np.allclose(e @ sol.y, d, rtol=0.0, atol=1e-14)
+    assert np.allclose(sol.nu, nu, rtol=1e-14)
+    assert sol.objective == pytest.approx(d @ nu, rel=1e-14)
+    sol = solve_sdp(SdpProblem(b=np.array([1.0, 0.0, 0.0]), blocks=[], e=e, d=d))
+    assert sol.status == "unbounded"
+
+
 # -- statuses on degenerate inputs --------------------------------------------
 
 def test_zero_problem_trivially_optimal():
@@ -201,10 +239,11 @@ def test_rejects_rank_deficient_equalities():
 
 
 def test_rejects_variable_out_of_range():
-    with pytest.raises(SdpError, match="variable"):
-        SdpProblem(b=np.array([1.0]),
-                   blocks=[SdpBlock(1, np.array([[0.0]]), np.array([3]),
-                                    np.array([0]), np.array([0]), np.array([1.0]))])
+    for var in (3, -1):
+        with pytest.raises(SdpError, match="variable"):
+            SdpProblem(b=np.array([1.0]),
+                       blocks=[SdpBlock(1, np.array([[0.0]]), np.array([var]),
+                                        np.array([0]), np.array([0]), np.array([1.0]))])
 
 
 # -- Schur-complement kernels ---------------------------------------------------
@@ -280,7 +319,7 @@ def test_schur_one_by_one_block():
 
 
 def test_schur_moment_relaxation_blocks():
-    p = _substitute_y0(build_relaxation(scale_problem(cantilever(3)), 2).problem)
+    p = _Presolve(build_relaxation(scale_problem(cantilever(3)), 2).problem).problem
     kernels = {_BlockData(blk, p.m).sub is None for blk in p.blocks}
     assert kernels == {True, False}  # both kernels are exercised
     gen = rng(31)
