@@ -90,8 +90,7 @@ class SolveSettings:
         return NsdpConfig()
 
     def hierarchy(self) -> HierarchyConfig:
-        return HierarchyConfig(r_max=max(self.order_max, 1),
-                               gap_tol=self.gap_tol)
+        return HierarchyConfig(r_max=self.order_max, gap_tol=self.gap_tol)
 
 
 @dataclass
@@ -378,6 +377,10 @@ def _cmd_analyze(args) -> int:
 def _cmd_optimize(args) -> int:
     if not args.eta > 0.0:
         raise _UsageError("--eta must be positive")
+    if not args.eps >= 0.0:
+        raise _UsageError("--eps must be non-negative")
+    if args.order_max < 1:
+        raise _UsageError("--order-max must be at least 1")
     gs, label = _resolve_problem(args.problem)
     settings = SolveSettings(eps=args.eps, zeta=args.zeta, eta=args.eta,
                              gap_tol=args.gap_tol, order_max=args.order_max)

@@ -244,10 +244,10 @@ class FrameAssembly:
     Splits every element stiffness into the two global patterns
     K_e(a) = a * ka_e + a**2 * kb_e and every load vector into
     f(a) = f0 + sum_i a_i * f1_i, which is all downstream code needs.
-    The stiffness is assembled directly on the support-reduced DOF set
-    ``free``: densely (``stiffness``), or into its node-order band
-    (``stiffness_band``), the form the FEM solves factor.  Load vectors stay
-    full-length, indexed by global DOF.  A structure builds its one
+    The stiffness is assembled once, on the support-reduced DOF set ``free``
+    into its node-order band (``stiffness_band``), which the FEM solves
+    factor; ``stiffness`` mirrors the band into a dense matrix.  Load vectors
+    stay full-length, indexed by global DOF.  A structure builds its one
     assembly on first use of ``gs.assembly``.
     """
 
@@ -307,9 +307,8 @@ class FrameAssembly:
             for j, flag in enumerate((sup.ux, sup.uy, sup.rot)):
                 if flag:
                     fixed[base + j] = True
-        # The support-reduced model: global indices of the free DOFs, each
-        # element DOF's position among them (-1 = supported), and the flat
-        # position in the reduced K of every element entry it keeps.
+        # The support-reduced model: global indices of the free DOFs and
+        # each element DOF's position among them (-1 = supported).
         self.free = np.flatnonzero(~fixed)
         position = np.full(self.n_dof, -1)
         position[self.free] = np.arange(self.free.size)
@@ -317,14 +316,12 @@ class FrameAssembly:
         rows = self.reduced_dofs[:, :, None]
         cols = self.reduced_dofs[:, None, :]
         n = self.free.size
-        self._kept = (rows >= 0) & (cols >= 0)
-        self._scatter = (rows * n + cols)[self._kept]
         # K is banded in node order: its half-bandwidth u is the widest span
         # of free DOFs within one element.  The band scatter keeps only the
-        # upper entries (i <= j), each the same element-order sum as the
-        # dense K's, at flat slot u (j + 1) + i of the column-major LAPACK
-        # upper band, where band[u + i - j, j] = K[i, j].
-        upper = self._kept & (rows <= cols)
+        # upper entries (i <= j), each summed in element order, at flat slot
+        # u (j + 1) + i of the column-major LAPACK upper band, where
+        # band[u + i - j, j] = K[i, j].
+        upper = (rows >= 0) & (rows <= cols)
         i, j = (np.broadcast_to(x, upper.shape)[upper] for x in (rows, cols))
         self.half_bandwidth = u = int(np.max(j - i, initial=0))
         self._band_scatter = u * (j + 1) + i
@@ -393,19 +390,21 @@ class FrameAssembly:
         return a
 
     def stiffness(self, a: np.ndarray) -> np.ndarray:
-        """Support-reduced K(a), rows and columns ordered as ``free``."""
-        a = self._check_design(a)
-        ke = self.ka * a[:, None, None] + self.kb * (a * a)[:, None, None]
-        n = self.free.size
-        return np.bincount(self._scatter, weights=ke[self._kept],
-                           minlength=n * n).reshape(n, n)
+        """Support-reduced K(a) as a dense matrix mirrored out of ``stiffness_band``."""
+        band = self.stiffness_band(a)
+        d, j = np.indices(band.shape)
+        i = j - self.half_bandwidth + d
+        inside = i >= 0
+        k = np.zeros((self.free.size,) * 2)
+        k[i[inside], j[inside]] = k[j[inside], i[inside]] = band[inside]
+        return k
 
     def stiffness_band(self, a: np.ndarray) -> np.ndarray:
         """Upper band of the support-reduced K(a) in LAPACK storage.
 
         A (u + 1) x n Fortran-ordered array with band[u + i - j, j] = K[i, j]
         for j - u <= i <= j, u = ``half_bandwidth``; the unused top-left
-        corner is zero.  Entries equal those of ``stiffness`` bit for bit.
+        corner is zero.
         """
         a = self._check_design(a)
         u, n = self.half_bandwidth, self.free.size

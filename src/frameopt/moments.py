@@ -451,7 +451,6 @@ def gap_certificate(lower: float, upper: float, gap_tol: float = GAP_TOL,
 class HierarchyConfig:
     r_max: int = 3
     gap_tol: float = GAP_TOL
-    rank_tol: float = RANK_TOL
     sdp: SdpConfig | None = None
 
 
@@ -505,7 +504,7 @@ def run_hierarchy(gs: GroundStructure,
             areas, upper = extract_design(rel, rsol.y)
         except (SingularSystemError, DanglingLoadError):
             areas, upper = None, math.inf
-        ranks = rank_certificate(rel, rsol.y, cfg.rank_tol)
+        ranks = rank_certificate(rel, rsol.y)
         cert = gap_certificate(lower, upper, cfg.gap_tol, order=r,
                                ranks=ranks, areas=areas)
         certs.append(cert)

@@ -34,9 +34,9 @@ step lands at or above the root and they fall monotonically onto it, while
 s' <= -1 bounds the root from below by lam + s(lam).  A step that leaves
 that bracket, or a shifted factor that fails, falls back to bisection.
 
-The dense G stays wherever it verifies rather than iterates:
-build_compliance_lmi, check_schur_equivalence, the smallest eigenvalue of
-each stage's history row and the terminal feasibility test.
+The same solve gives each stage's history eigenvalue and decides the
+terminal feasibility test.  Only the two oracles, build_compliance_lmi and
+check_schur_equivalence, build the dense G, from the band's dense mirror.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ import scipy.optimize
 from scipy.linalg import eigvalsh
 from scipy.linalg.lapack import dpbsv
 
+from frameopt import analysis
 from frameopt.local import LocalResult, PhaseClock, project_design
 from frameopt.model import FrameAssembly, GroundStructure, require_valid, uniform_design
 
@@ -57,8 +58,8 @@ class IncompatibleLoadError(ValueError):
     """Load vector has a component outside the range of the stiffness matrix."""
 
 
-# Terminal feasibility threshold on the smallest eigenvalue of G, relative
-# to the largest eigenvalue magnitude.
+# Terminal feasibility threshold on the smallest eigenvalue of D G D,
+# relative to a Gershgorin upper bound on its norm.
 EIG_FEAS_RTOL = 1e-6
 PSD_RTOL = 1e-9          # classification threshold for the Schur oracle
 PINV_RCOND = 1e-12
@@ -81,17 +82,6 @@ class NsdpConfig:
     max_retries: int = 3       # per-stage rho back-offs after a stalled inner solve
     shrink: float = 0.95       # pullback from the volume face for the start
     c_margin: float = 1.1      # starting compliance variable, times FEM value
-
-
-def _lmi(asm: FrameAssembly, a: np.ndarray, c: float) -> np.ndarray:
-    """G(a, c) = [[c, -f'], [-f, K]] on the support-reduced DOF set."""
-    f_hat = asm.loads(a)[asm.free]
-    g = np.empty((1 + f_hat.size, 1 + f_hat.size))
-    g[0, 0] = c
-    g[0, 1:] = -f_hat
-    g[1:, 0] = -f_hat
-    g[1:, 1:] = asm.stiffness(a)
-    return g
 
 
 def smallest_eigenpair(c: float, f: np.ndarray,
@@ -213,9 +203,11 @@ class ScaledLmi:
         return (c * self.c_scale, asm.loads(a)[asm.free] * self.f_scale,
                 asm.stiffness_band(a) * self.band_scale)
 
-    def dense(self, a: np.ndarray, c: float) -> np.ndarray:
-        """The dense D G(a, c) D, for verification."""
-        return _lmi(self.asm, a, c) * np.outer(self.d, self.d)
+    def norm_bound(self, c: float, f: np.ndarray, band: np.ndarray) -> float:
+        """Gershgorin upper bound on ||D G D|| from ``parts``: its largest row sum of |entries|."""
+        rows = np.abs(band.ravel(order="F")[self.asm.band_slots]).sum(axis=1)
+        return max(abs(c) + float(np.sum(np.abs(f))),
+                   float(np.max(rows + np.abs(f), initial=0.0)))
 
     def eigenvalue_gradient(self, a: np.ndarray,
                             v: np.ndarray) -> tuple[np.ndarray, float]:
@@ -234,7 +226,10 @@ class ScaledLmi:
 
 def build_compliance_lmi(gs: GroundStructure, d: np.ndarray, c: float) -> np.ndarray:
     """G(d, c) = [[c, -f'], [-f, K]] on the support-reduced DOF set."""
-    return _lmi(gs.assembly, np.asarray(d, dtype=float), float(c))
+    asm = gs.assembly
+    d = np.asarray(d, dtype=float)
+    f_hat = asm.loads(d)[asm.free][:, None]
+    return np.block([[np.full((1, 1), float(c)), -f_hat.T], [-f_hat, asm.stiffness(d)]])
 
 
 @dataclass(frozen=True)
@@ -255,12 +250,11 @@ def check_schur_equivalence(gs: GroundStructure, d: np.ndarray, c: float) -> Sch
     Raises IncompatibleLoadError when f has a component outside range(K),
     where the pseudo-inverse bound is meaningless.
     """
-    asm = gs.assembly
     d = np.asarray(d, dtype=float)
     if np.any(d < 0.0):
         raise ValueError("areas must be non-negative")
-    k_hat = asm.stiffness(d)
-    f_hat = asm.loads(d)[asm.free]
+    g = build_compliance_lmi(gs, d, c)
+    k_hat, f_hat = g[1:, 1:], -g[1:, 0]
 
     k_pinv = np.linalg.pinv(k_hat, rcond=PINV_RCOND, hermitian=True)
     u = k_pinv @ f_hat
@@ -271,7 +265,6 @@ def check_schur_equivalence(gs: GroundStructure, d: np.ndarray, c: float) -> Sch
     # Jacobi congruence scaling before the eigen test: D G D with positive
     # diagonal D keeps the inertia of G but stops the c-versus-K magnitude
     # mismatch from squashing a boundary violation below the tolerance.
-    g = _lmi(asm, d, float(c))
     diag = np.diag(g)
     floor = 1e-12 * max(float(diag.max(initial=0.0)), 1.0)
     scale_vec = 1.0 / np.sqrt(np.maximum(diag, floor))
@@ -368,9 +361,10 @@ def run_nsdp_local(gs: GroundStructure, cfg: NsdpConfig | None = None,
     Minimizes NsdpPenalty, c + rho * min(lambda_min(D G D), 0)^2 plus a
     shrinking log-barrier on the linear constraints, increasing rho
     geometrically.  The terminal point is labeled infeasible-point (with no
-    compliance) unless the smallest eigenvalue of the dense D G D clears
-    -1e-6 times the eigenvalue scale.  The diagnostics count the penalty
-    ``evaluations`` and the banded factorizations in them, ``eig_solves``.
+    compliance) unless ``min_eigenvalue`` of D G D (the banded root, 0.0
+    when G >= 0) clears -1e-6 times ``eigenvalue_scale``, a Gershgorin bound
+    on ||D G D||.  The diagnostics count the penalty ``evaluations`` and the
+    banded factorizations in them, ``eig_solves``.
     """
     cfg = cfg or NsdpConfig()
     clock = PhaseClock()
@@ -388,6 +382,13 @@ def run_nsdp_local(gs: GroundStructure, cfg: NsdpConfig | None = None,
         excess = float(lengths @ a0) / (cfg.shrink * vbar)
         if excess > 1.0:
             a0 /= excess
+    if asm.free.size == 0:      # every DOF supported: G(a, c) = [c], least c = 0
+        return LocalResult(method="nsdp", areas=a0, compliance=0.0, status="converged",
+                           iterations=0, reason="criterion met",
+                           diagnostics={"phase_s": clock.phase_s()})
+    # c0 sets the start point and the scaling D, and the penalty path hangs
+    # on roundoff, so c0 keeps its dense solve: ``analysis.compliance``, up
+    # to 2e-12 relative away, alone moves some runs to another end point.
     with clock.solving():
         f_hat = asm.loads(a0)[asm.free]
         c0 = cfg.c_margin * float(f_hat @ np.linalg.solve(asm.stiffness(a0), f_hat))
@@ -426,31 +427,28 @@ def run_nsdp_local(gs: GroundStructure, cfg: NsdpConfig | None = None,
                 if nit > 0:
                     break
         x = x_new
-        lam = eigvalsh(phi.lmi.dense(x[:ne], x[ne]))
-        history.append((float(lengths @ x[:ne]), float(x[ne]), float(lam[0])))
+        lam = smallest_eigenpair(*phi.lmi.parts(x[:ne], x[ne]))[0]
+        history.append((float(lengths @ x[:ne]), float(x[ne]), lam))
         stages.append((rho, nit, grad_inf))
         if rho >= cfg.rho_max:
             break
         rho_prev = rho
         rho = min(rho * cfg.rho_growth, cfg.rho_max)
-    info = {"stages": stages, "inner_iterations": stages[-1][1], "grad_inf": stages[-1][2],
-            "evaluations": phi.evaluations, "eig_solves": phi.eig_solves}
 
     a, c = np.maximum(x[:ne], 0.0), float(x[ne])
-    lam = eigvalsh(phi.lmi.dense(a, c))
-    scale = max(abs(lam[0]), abs(lam[-1]), 1e-30)
+    parts = phi.lmi.parts(a, c)
+    lam = smallest_eigenpair(*parts)[0]
+    # An upper bound on ||D G D||: a lower one would tighten the threshold.
+    scale = max(phi.lmi.norm_bound(*parts), 1e-30)
     vol_resid = max(0.0, float(lengths @ a) - vbar)
     # rho_max bounds the terminal constraint violation of the quadratic
     # penalty at roughly multiplier/(2 rho_max); 1e-5 relative covers it.
-    feasible = lam[0] >= -EIG_FEAS_RTOL * scale and vol_resid <= 1e-5 * vbar
-    diagnostics = dict(info)
-    diagnostics.update(
-        min_eigenvalue=float(lam[0]),
-        eigenvalue_scale=float(scale),
-        volume_residual=vol_resid,
-        negative_area=float(max(0.0, -np.min(x[:ne]))),
-        c_variable=c,
-    )
+    feasible = lam >= -EIG_FEAS_RTOL * scale and vol_resid <= 1e-5 * vbar
+    diagnostics = dict(
+        stages=stages, inner_iterations=stages[-1][1], grad_inf=stages[-1][2],
+        evaluations=phi.evaluations, eig_solves=phi.eig_solves,
+        min_eigenvalue=lam, eigenvalue_scale=scale, volume_residual=vol_resid,
+        negative_area=float(max(0.0, -np.min(x[:ne]))), c_variable=c)
     if not feasible:
         diagnostics["phase_s"] = clock.phase_s()
         return LocalResult(method="nsdp", areas=a, compliance=None,
@@ -462,9 +460,7 @@ def run_nsdp_local(gs: GroundStructure, cfg: NsdpConfig | None = None,
     # report its equilibrium compliance.
     a = project_design(a, lengths, vbar, 0.0)
     with clock.solving():
-        f_hat = asm.loads(a)[asm.free]
-        u = np.linalg.pinv(asm.stiffness(a), rcond=PINV_RCOND, hermitian=True) @ f_hat
-        c_fem = float(f_hat @ u)
+        c_fem = analysis.compliance(gs, a).compliance
     diagnostics["phase_s"] = clock.phase_s()
     return LocalResult(method="nsdp", areas=a, compliance=c_fem,
                        status="converged", iterations=len(history),

@@ -20,6 +20,7 @@ from conftest import (
     rng,
 )
 from frameopt.analysis import compliance, compliance_gradient
+from frameopt.cli import SolveSettings
 from frameopt.model import uniform_design
 from frameopt.moments import (
     HierarchyConfig,
@@ -28,7 +29,7 @@ from frameopt.moments import (
     run_hierarchy,
     scale_problem,
 )
-from frameopt.nsdp import NsdpConfig, check_schur_equivalence, run_nsdp_local
+from frameopt.nsdp import check_schur_equivalence, run_nsdp_local
 from frameopt.local import run_local_nlp, run_oc
 from frameopt.problems import benchmark_case
 from frameopt.sdp import check_kkt, solve_sdp
@@ -62,8 +63,7 @@ def local(name, method):
         elif method == "nlp":
             result = run_local_nlp(gs)
         else:
-            cfg = NsdpConfig(rho_growth=math.sqrt(10.0)) \
-                if case.nsdp_gentle else NsdpConfig()
+            cfg = SolveSettings(nsdp_gentle=case.nsdp_gentle).nsdp()
             result = run_nsdp_local(gs, cfg)
         _LOCAL[key] = (result, time.perf_counter() - start)
     return _LOCAL[key]

@@ -41,11 +41,18 @@ def test_missing_problem_is_usage_error(capsys):
     assert "neither a file nor a packaged problem" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("eta", ["0", "-0.3"])
-def test_nonpositive_eta_is_usage_error(eta, capsys):
-    code = main(["optimize", "cantilever-3", "--method", "oc", "--eta", eta])
+@pytest.mark.parametrize("option, value, message", [
+    pytest.param("--eta", "0", "--eta must be positive", id="0"),
+    pytest.param("--eta", "-0.3", "--eta must be positive", id="-0.3"),
+    pytest.param("--eps", "-0.01", "--eps must be non-negative", id="eps-negative"),
+    pytest.param("--order-max", "0", "--order-max must be at least 1", id="order-max-0"),
+    pytest.param("--order-max", "-2", "--order-max must be at least 1", id="order-max-negative"),
+])
+def test_nonpositive_eta_is_usage_error(option, value, message, capsys):
+    # Out-of-range solver options are refused before any solve.
+    code = main(["optimize", "cantilever-3", "--method", "oc", option, value])
     assert code == EXIT_USAGE
-    assert "--eta must be positive" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_wrong_area_count_is_usage_error(capsys):

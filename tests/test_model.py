@@ -156,6 +156,7 @@ def test_half_bandwidth_in_node_order(build, width):
     lambda: make_grid(5, 4, rng(6)), lambda: scramble_nodes(make_cantilever(12), rng(7)),
 ], ids=["cantilever-1", "cantilever-3", "girder", "ten-beam", "grid-85", "scrambled"])
 def test_stiffness_band_equals_dense_upper_triangle(build):
+    # Against the brute-force K: ``asm.stiffness`` is mirrored out of the band.
     asm = FrameAssembly(build())
     u, n = asm.half_bandwidth, asm.free.size
     i, j = np.triu_indices(n)
@@ -165,7 +166,7 @@ def test_stiffness_band_equals_dense_upper_triangle(build):
     for _ in range(10):
         a = gen.uniform(0.01, 0.2, asm.n_elements)
         a[gen.random(asm.n_elements) < 0.3] = 0.0
-        K = asm.stiffness(a)
+        K = full_stiffness(asm, a)[np.ix_(asm.free, asm.free)]
         band = asm.stiffness_band(a)
         assert band.shape == (u + 1, n) and band.flags.f_contiguous
         assert np.all(band[u + i[inside] - j[inside], j[inside]] == K[i[inside], j[inside]])

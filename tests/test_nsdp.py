@@ -8,12 +8,22 @@ from scipy.linalg import eigvalsh
 
 from frameopt import problems
 from frameopt.analysis import compliance
-from frameopt.model import FrameAssembly, GroundStructure, uniform_design
+from frameopt.cli import EXIT_OK, run_method
+from frameopt.model import (
+    Element,
+    FrameAssembly,
+    GroundStructure,
+    NodalForce,
+    Node,
+    Support,
+    uniform_design,
+)
 from frameopt.nsdp import (
     PSD_RTOL,
     IncompatibleLoadError,
     NsdpConfig,
     NsdpPenalty,
+    ScaledLmi,
     build_compliance_lmi,
     check_schur_equivalence,
     run_nsdp_local,
@@ -150,11 +160,13 @@ def assert_banded_eigenpair_matches_dense(gs, a, c):
     """The banded secular solve against eigvalsh of the dense D G D, with D
     the Jacobi scaling a penalty run started at (a, c) uses."""
     lmi = NsdpPenalty(gs, a, c).lmi
-    lam, v, factorizations = smallest_eigenpair(*lmi.parts(a, c))
+    parts = lmi.parts(a, c)
+    lam, v, factorizations = smallest_eigenpair(*parts)
     g = build_compliance_lmi(gs, a, c) * np.outer(lmi.d, lmi.d)
     dense = eigvalsh(g)
     norm = max(1.0, abs(dense[0]), abs(dense[-1]))
     scale = max(abs(dense[0]), abs(dense[-1]), 1.0)
+    assert lmi.norm_bound(*parts) >= max(abs(dense[0]), abs(dense[-1]))
     assert (lam >= -PSD_RTOL * scale) == (dense[0] >= -PSD_RTOL * scale)
     assert abs(lam - min(dense[0], 0.0)) <= 1e-12 * norm
     assert factorizations >= 1
@@ -172,7 +184,7 @@ def test_scaled_lmi_parts_equal_dense_entries():
         a = uniform_design(gs) * rng(3).uniform(0.5, 1.5, gs.n_elements)
         lmi = NsdpPenalty(gs, a, 7.0).lmi
         c, f, band = lmi.parts(a, 7.0)
-        g = lmi.dense(a, 7.0)
+        g = build_compliance_lmi(gs, a, 7.0) * np.outer(lmi.d, lmi.d)
         u, n = gs.assembly.half_bandwidth, f.size
         assert c == g[0, 0]
         assert np.array_equal(f, -g[1:, 0])
@@ -251,7 +263,8 @@ def test_penalty_gradient_matches_central_differences(gs):
     x = np.concatenate([a, [0.7 * c0]])
     args = (100.0, 1e-3, 1.0)
     _, grad = phi(x, *args)
-    assert eigvalsh(phi.lmi.dense(a, x[-1]))[0] < 0.0
+    g = build_compliance_lmi(gs, a, x[-1]) * np.outer(phi.lmi.d, phi.lmi.d)
+    assert eigvalsh(g)[0] < 0.0
     assert gs.assembly.lengths @ a > gs.volume_bound
     fd = np.empty_like(x)
     for i in range(x.size):
@@ -318,3 +331,20 @@ def test_nsdp_counts_evaluations_and_factorizations(cantilever3):
     # iteration costs at least one evaluation.
     assert evaluations >= sum(nit for _, nit, _ in r.diagnostics["stages"])
     assert evaluations <= eig_solves <= 100 * evaluations
+
+
+def test_nsdp_without_free_dof_ends_at_zero_compliance():
+    # Every DOF supported: validate accepts the structure, K is empty and
+    # G(a, c) = [c], so the least compliance is 0, as nlp reports too.
+    clamp = dict(ux=True, uy=True, rot=True)
+    gs = GroundStructure([Node(1, 0.0, 0.0), Node(2, 1.0, 0.0)], [Element(1, 1, 2)],
+                         [Support(1, **clamp), Support(2, **clamp)],
+                         [NodalForce(2, 0.0, -1.0)], 0.1)
+    assert gs.assembly.free.size == 0
+    r = run_nsdp_local(gs)
+    assert (r.status, r.compliance) == ("converged", 0.0)
+    assert gs.assembly.lengths @ r.areas <= gs.volume_bound
+    assert run_method(gs, "nsdp").exit_code == EXIT_OK
+    # The norm bound of an empty band is that of G = [c].
+    lmi = ScaledLmi(gs.assembly, np.ones(1))
+    assert lmi.norm_bound(*lmi.parts(r.areas, -2.0)) == 2.0
