@@ -35,14 +35,12 @@ from frameopt.analysis import (
 )
 from frameopt.local import (
     LocalResult,
-    NlpConfig,
     OcConfig,
     run_local_nlp,
     run_oc,
 )
 from frameopt.nsdp import (
     IncompatibleLoadError,
-    NsdpConfig,
     SchurCheck,
     build_compliance_lmi,
     check_schur_equivalence,
@@ -51,7 +49,6 @@ from frameopt.nsdp import (
 from frameopt.sdp import (
     KktReport,
     SdpBlock,
-    SdpConfig,
     SdpProblem,
     SdpSolution,
     check_kkt,
@@ -59,7 +56,6 @@ from frameopt.sdp import (
 )
 from frameopt.moments import (
     Certificate,
-    HierarchyConfig,
     HierarchyResult,
     MonomialBasis,
     RankReport,

@@ -11,16 +11,16 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from frameopt.analysis import DanglingLoadError, SingularSystemError, compliance
-from frameopt.local import BracketError, NlpConfig, OcConfig, run_local_nlp, run_oc
+from frameopt.local import BracketError, OcConfig, run_local_nlp, run_oc
 from frameopt.model import GroundStructure, ModelError
 from frameopt.moments import (
-    HierarchyConfig,
+    OK_STATUS,
     HierarchyResult,
     build_relaxation,
     gap_certificate,
@@ -29,7 +29,7 @@ from frameopt.moments import (
     scale_problem,
     solve_relaxation,
 )
-from frameopt.nsdp import NsdpConfig, run_nsdp_local
+from frameopt.nsdp import run_nsdp_local
 from frameopt.problems import (
     benchmark_case,
     build_benchmarks,
@@ -74,23 +74,9 @@ class SolveSettings:
     eta: float = 0.3
     gap_tol: float = 1e-4
     order_max: int = 2
+    # Gentler nsdp penalty growth, sqrt(10) instead of tenfold per stage;
+    # serial chains stall under the tenfold steps.
     nsdp_gentle: bool = False
-
-    def oc(self) -> OcConfig:
-        return OcConfig(eps=self.eps, zeta=self.zeta, eta=self.eta)
-
-    def nlp(self) -> NlpConfig:
-        return NlpConfig(eps=self.eps)
-
-    def nsdp(self) -> NsdpConfig:
-        if self.nsdp_gentle:
-            # Gentler penalty growth; serial chains stall under the
-            # default tenfold steps.
-            return NsdpConfig(rho_growth=math.sqrt(10.0))
-        return NsdpConfig()
-
-    def hierarchy(self) -> HierarchyConfig:
-        return HierarchyConfig(r_max=self.order_max, gap_tol=self.gap_tol)
 
 
 @dataclass
@@ -173,7 +159,7 @@ def run_method(gs: GroundStructure, method: str,
     t0 = time.perf_counter()
     try:
         if method == "po":
-            hr = run_hierarchy(gs, cfg.hierarchy())
+            hr = run_hierarchy(gs, r_max=cfg.order_max, gap_tol=cfg.gap_tol)
             last = hr.certificates[-1] if hr.certificates else None
             out = MethodResult(
                 method=method,
@@ -188,11 +174,14 @@ def run_method(gs: GroundStructure, method: str,
                 orders=_order_rows(hr),
             )
         else:
-            runner = {"oc": run_oc, "nlp": run_local_nlp,
-                      "nsdp": run_nsdp_local}[method]
-            arg = {"oc": cfg.oc(), "nlp": cfg.nlp(),
-                   "nsdp": cfg.nsdp()}[method]
-            res = runner(gs, arg)
+            if method == "oc":
+                res = run_oc(gs, OcConfig(eps=cfg.eps, zeta=cfg.zeta, eta=cfg.eta))
+            elif method == "nlp":
+                res = run_local_nlp(gs, eps=cfg.eps)
+            elif cfg.nsdp_gentle:
+                res = run_nsdp_local(gs, rho_growth=math.sqrt(10.0))
+            else:
+                res = run_nsdp_local(gs)
             out = MethodResult(
                 method=method,
                 status=res.status,
@@ -252,10 +241,8 @@ def run_benchmark(case, methods=None,
                   settings: SolveSettings | None = None) -> BenchReport:
     """Run the requested methods of one benchmark case and collect results."""
     cfg = settings or SolveSettings()
-    cfg = SolveSettings(eps=cfg.eps, zeta=cfg.zeta, eta=cfg.eta,
-                        gap_tol=cfg.gap_tol,
-                        order_max=case.po_order or cfg.order_max,
-                        nsdp_gentle=case.nsdp_gentle)
+    cfg = replace(cfg, order_max=case.po_order or cfg.order_max,
+                  nsdp_gentle=case.nsdp_gentle)
     wanted = case.methods if methods is None else \
         tuple(m for m in case.methods if m in methods)
     gs = case.build()
@@ -377,6 +364,8 @@ def _cmd_analyze(args) -> int:
 def _cmd_optimize(args) -> int:
     if not args.eta > 0.0:
         raise _UsageError("--eta must be positive")
+    if not 0.0 < args.zeta <= 1.0:
+        raise _UsageError("--zeta must be in (0, 1]")
     if not args.eps >= 0.0:
         raise _UsageError("--eps must be non-negative")
     if args.order_max < 1:
@@ -413,7 +402,7 @@ def _cmd_certify(args) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     sol = solve_relaxation(rel)
-    if sol.status not in ("optimal", "near-optimal"):
+    if sol.status not in OK_STATUS:
         print(f"relaxation solve failed: {sol.status}", file=sys.stderr)
         return EXIT_NUMERICAL
     ranks = rank_certificate(rel, sol.y)
@@ -481,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--eps", type=float, default=1e-6,
                     help="lower area bound for the local methods")
     po.add_argument("--zeta", type=float, default=0.2,
-                    help="move limit of the optimality-criteria update")
+                    help="move limit of the optimality-criteria update, in (0, 1]")
     po.add_argument("--eta", type=float, default=0.3,
                     help="damping exponent of the optimality-criteria update")
     po.add_argument("--gap-tol", type=float, default=1e-4)

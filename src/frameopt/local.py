@@ -31,23 +31,21 @@ class OcConfig:
     eps: float = 1e-6          # minimum area
     zeta: float = 0.2          # move limit on decrease
     eta: float = 0.3           # tuning exponent
-    max_iter: int = 500
-    tol: float = 1e-4          # on max |b_i - 1| over active elements
 
 
-@dataclass
-class NlpConfig:
-    eps: float = 1e-6
-    max_iter: int = 3000
-    stat_tol: float = 1e-7     # on the projected-gradient displacement
-    memory: int = 8            # nonmonotone line-search window
-    armijo: float = 1e-4
-    step_min: float = 1e-16
-    step_max: float = 1e12
+# Iteration caps and stopping rules of run_oc and run_local_nlp.
+OC_MAX_ITER = 500
+OC_TOL = 1e-4           # on max |b_i - 1| over active elements
 
+NLP_MAX_ITER = 3000
+STAT_TOL = 1e-7         # on the projected-gradient displacement
+MEMORY = 8              # nonmonotone line-search window
+ARMIJO = 1e-4
+STEP_MIN = 1e-16
+STEP_MAX = 1e12
 
 # nlp's second exit.  ||P(a - grad) - a||_inf is in the problem's units, so
-# its float floor can sit above stat_tol (1.1e-7 on cantilever-100, 1.4e-6
+# its float floor can sit above STAT_TOL (1.1e-7 on cantilever-100, 1.4e-6
 # on the 11-member girder).  A design whose scale-free KKT residual is at
 # most KKT_TOL, while the projected-gradient measure has made no new low for
 # KKT_STALL iterations, has converged as far as the floats allow.
@@ -167,7 +165,7 @@ def run_oc(gs: GroundStructure, cfg: OcConfig | None = None) -> LocalResult:
     status, reason = "iter-limit", "iteration limit"
     measure = math.inf
     iterations = 0
-    for iterations in range(1, cfg.max_iter + 1):
+    for iterations in range(1, OC_MAX_ITER + 1):
         with clock.solving():
             res = compliance(gs, a)
         numerators = res.energy_stiffness - res.energy_load
@@ -178,7 +176,7 @@ def run_oc(gs: GroundStructure, cfg: OcConfig | None = None) -> LocalResult:
         a_next = oc_step(a, b, cfg)
         history.append((float(lengths @ a_next), res.compliance, measure))
         a = a_next
-        if measure <= cfg.tol:
+        if measure <= OC_TOL:
             status, reason = "converged", "criterion met"
             break
 
@@ -257,29 +255,28 @@ def kkt_residual(grad: np.ndarray, a: np.ndarray, lengths: np.ndarray,
                float(np.max(ratio[~active], initial=0.0)))
 
 
-def run_local_nlp(gs: GroundStructure, cfg: NlpConfig | None = None) -> LocalResult:
-    """Projected-gradient descent with Barzilai-Borwein steps.
+def run_local_nlp(gs: GroundStructure, eps: float = 1e-6) -> LocalResult:
+    """Projected-gradient descent with Barzilai-Borwein steps, areas >= eps.
 
     Nonmonotone Armijo backtracking over a short history window; the
     stationarity measure is ||P(a - grad) - a||_inf, which vanishes exactly
     at KKT points of the nested problem.  The run stops when that measure
-    reaches stat_tol, or (reason "kkt residual met") when the scale-free
+    reaches STAT_TOL, or (reason "kkt residual met") when the scale-free
     ``kkt_residual`` is at most KKT_TOL and the measure has made no new low
     for KKT_STALL iterations.
     """
-    cfg = cfg or NlpConfig()
     clock = PhaseClock()
     asm = require_valid(gs)
     lengths = asm.lengths
     vbar = gs.volume_bound
-    if cfg.eps * np.sum(lengths) > vbar:
+    if eps * np.sum(lengths) > vbar:
         raise BracketError("volume bound below the minimum-area floor")
 
     def fval(a):
         with clock.solving():
             return compliance(gs, a)
 
-    a = project_design(uniform_design(gs), lengths, vbar, cfg.eps)
+    a = project_design(uniform_design(gs), lengths, vbar, eps)
     res = fval(a)
     grad = compliance_gradient(res)
     f_hist = [res.compliance]
@@ -290,22 +287,22 @@ def run_local_nlp(gs: GroundStructure, cfg: NlpConfig | None = None) -> LocalRes
     best_at = 0
     iterations = 0
     resets = 0
-    for iterations in range(1, cfg.max_iter + 1):
-        stat = float(np.max(np.abs(project_design(a - grad, lengths, vbar, cfg.eps) - a)))
+    for iterations in range(1, NLP_MAX_ITER + 1):
+        stat = float(np.max(np.abs(project_design(a - grad, lengths, vbar, eps) - a)))
         history.append((float(lengths @ a), res.compliance, stat))
-        if stat <= cfg.stat_tol:
+        if stat <= STAT_TOL:
             status, reason = "converged", "criterion met"
             break
         if stat < best_stat:
             best_stat, best_at = stat, iterations
         elif iterations - best_at >= KKT_STALL and \
-                kkt_residual(grad, a, lengths, cfg.eps) <= KKT_TOL:
+                kkt_residual(grad, a, lengths, eps) <= KKT_TOL:
             status, reason = "converged", "kkt residual met"
             break
-        direction = project_design(a - step * grad, lengths, vbar, cfg.eps) - a
+        direction = project_design(a - step * grad, lengths, vbar, eps) - a
         slope = float(grad @ direction)
         noise = 64.0 * np.finfo(float).eps * abs(f_hist[-1])
-        if cfg.armijo * abs(slope) <= noise and np.any(direction):
+        if ARMIJO * abs(slope) <= noise and np.any(direction):
             # The achievable decrease is below the float resolution of the
             # compliance, so a value-based test can no longer steer; take the
             # full projected step and polish on gradient information alone.
@@ -325,7 +322,7 @@ def run_local_nlp(gs: GroundStructure, cfg: NlpConfig | None = None) -> LocalRes
             continue
         else:
             resets = 0
-            f_ref = max(f_hist[-cfg.memory:])
+            f_ref = max(f_hist[-MEMORY:])
             lam = 1.0
             accepted = False
             for _ in range(50):
@@ -335,7 +332,7 @@ def run_local_nlp(gs: GroundStructure, cfg: NlpConfig | None = None) -> LocalRes
                 except SingularSystemError:
                     lam *= 0.5
                     continue
-                if res_trial.compliance <= f_ref + cfg.armijo * lam * slope + noise:
+                if res_trial.compliance <= f_ref + ARMIJO * lam * slope + noise:
                     accepted = True
                     break
                 lam *= 0.5
@@ -347,7 +344,7 @@ def run_local_nlp(gs: GroundStructure, cfg: NlpConfig | None = None) -> LocalRes
         y = grad_new - grad
         sy = float(s @ y)
         if sy > 0.0:
-            step = min(max(float(s @ s) / sy, cfg.step_min), cfg.step_max)
+            step = min(max(float(s @ s) / sy, STEP_MIN), STEP_MAX)
         a, res, grad = trial, res_trial, grad_new
         f_hist.append(res.compliance)
 
@@ -362,5 +359,5 @@ def run_local_nlp(gs: GroundStructure, cfg: NlpConfig | None = None) -> LocalRes
         history=history,
         stationarity=stat,
         diagnostics={"phase_s": clock.phase_s(),
-                     "kkt_residual": kkt_residual(grad, a, lengths, cfg.eps)},
+                     "kkt_residual": kkt_residual(grad, a, lengths, eps)},
     )

@@ -41,20 +41,15 @@ from frameopt.analysis import (
     uniform_upper_bound,
 )
 from frameopt.model import GroundStructure, ModelError
-from frameopt.sdp import SdpBlock, SdpConfig, SdpProblem, SdpSolution, solve_sdp
+from frameopt.sdp import SdpBlock, SdpProblem, SdpSolution, solve_sdp
 
 BASIS_LIMIT = 10 ** 6   # refuse monomial bases beyond this size
 RANK_TOL = 1e-6         # relative singular-value cutoff for numerical rank
 GAP_TOL = 1e-4          # default relative gap that certifies optimality
 MONO_SLACK = 1e-7       # tolerated lower-bound decrease between orders
 
-_OK_STATUS = ("optimal", "near-optimal")
-
-# Moment SDPs are degenerate near optimality: the dual residual typically
-# floors around 1e-4 while the gap keeps closing.  Accept such iterates as
-# near-optimal; the certificate logic judges the resulting bounds on their
-# numerical merits either way.
-MOMENT_SDP_CONFIG = SdpConfig(near_gap=1e-3, near_feas=1e-4)
+# SDP statuses whose solution yields a lower bound.
+OK_STATUS = ("optimal", "near-optimal")
 
 Exponent = tuple[int, ...]
 
@@ -318,10 +313,9 @@ class RelaxationSolution:
     sdp: SdpSolution
 
 
-def solve_relaxation(rel: Relaxation,
-                     cfg: SdpConfig | None = None) -> RelaxationSolution:
+def solve_relaxation(rel: Relaxation) -> RelaxationSolution:
     """Solve one order; the SDP optimum is the lower bound."""
-    sol = solve_sdp(rel.problem, cfg or MOMENT_SDP_CONFIG)
+    sol = solve_sdp(rel.problem)
     return RelaxationSolution(sol.y, sol.objective, sol.status, sol)
 
 
@@ -378,8 +372,7 @@ def _numerical_rank(mat: np.ndarray, tol: float) -> int:
     return int(np.count_nonzero(sv > tol * sv[0]))
 
 
-def rank_certificate(rel: Relaxation, y: np.ndarray,
-                     tol: float = RANK_TOL) -> RankReport:
+def rank_certificate(rel: Relaxation, y: np.ndarray) -> RankReport:
     """Flat truncation check: rank M_r(y) == rank M_{r-1}(y).
 
     The graded basis makes M_{r-1} the leading principal block of M_r, so one
@@ -389,8 +382,8 @@ def rank_certificate(rel: Relaxation, y: np.ndarray,
     """
     full = moment_matrix(rel, y)
     reduced = len(rel.localizer_basis)
-    return RankReport(_numerical_rank(full, tol),
-                      _numerical_rank(full[:reduced, :reduced], tol), tol)
+    return RankReport(_numerical_rank(full, RANK_TOL),
+                      _numerical_rank(full[:reduced, :reduced], RANK_TOL), RANK_TOL)
 
 
 @dataclass(frozen=True)
@@ -448,13 +441,6 @@ def gap_certificate(lower: float, upper: float, gap_tol: float = GAP_TOL,
 
 
 @dataclass
-class HierarchyConfig:
-    r_max: int = 3
-    gap_tol: float = GAP_TOL
-    sdp: SdpConfig | None = None
-
-
-@dataclass
 class HierarchyResult:
     certificates: list[Certificate]
     areas: np.ndarray | None
@@ -464,14 +450,13 @@ class HierarchyResult:
     diagnostics: dict
 
 
-def run_hierarchy(gs: GroundStructure,
-                  cfg: HierarchyConfig | None = None) -> HierarchyResult:
+def run_hierarchy(gs: GroundStructure, r_max: int = 3,
+                  gap_tol: float = GAP_TOL) -> HierarchyResult:
     """Run orders r = 1 ... r_max, stopping early once an order certifies.
 
     Solver failures are recorded per order and the hierarchy moves on; the
     best feasible design found across orders is returned either way.
     """
-    cfg = cfg or HierarchyConfig()
     sp = scale_problem(gs)
     certs: list[Certificate] = []
     best_c = math.inf
@@ -480,20 +465,20 @@ def run_hierarchy(gs: GroundStructure,
     prev_lower = -math.inf
     diag: dict = {"c_hat": sp.c_hat, "orders": [],
                   "monotonicity_violations": []}
-    for r in range(1, cfg.r_max + 1):
+    for r in range(1, r_max + 1):
         try:
             rel = build_relaxation(sp, r)
         except ValueError as exc:
             diag["orders"].append({"r": r, "status": f"skipped: {exc}"})
             break
-        rsol = solve_relaxation(rel, cfg.sdp)
+        rsol = solve_relaxation(rel)
         diag["orders"].append({"r": r, "status": rsol.status,
                                "reason": rsol.sdp.diagnostics["reason"],
                                "sdp_iterations": rsol.sdp.iterations,
                                "n_moments": rel.n_moments,
                                "phase_s": rsol.sdp.diagnostics["phase_s"],
                                "schur_gflop": rsol.sdp.diagnostics["schur_gflop"]})
-        if rsol.status not in _OK_STATUS:
+        if rsol.status not in OK_STATUS:
             certs.append(Certificate(r, math.nan, math.inf, math.nan, "failed"))
             continue
         lower = rsol.lower
@@ -505,7 +490,7 @@ def run_hierarchy(gs: GroundStructure,
         except (SingularSystemError, DanglingLoadError):
             areas, upper = None, math.inf
         ranks = rank_certificate(rel, rsol.y)
-        cert = gap_certificate(lower, upper, cfg.gap_tol, order=r,
+        cert = gap_certificate(lower, upper, gap_tol, order=r,
                                ranks=ranks, areas=areas)
         certs.append(cert)
         if areas is not None and upper < best_c:

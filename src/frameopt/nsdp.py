@@ -71,17 +71,14 @@ SECULAR_RTOL = 1e-15
 SECULAR_PROBE = 1e-13
 SECULAR_MAXITER = 100
 
-
-@dataclass
-class NsdpConfig:
-    rho_init: float = 10.0     # initial constraint-penalty weight
-    rho_max: float = 1e12
-    rho_growth: float = 10.0
-    barrier_init: float = 1e-1  # barrier weight runs at rho_init/rho * this
-    inner_maxiter: int = 500
-    max_retries: int = 3       # per-stage rho back-offs after a stalled inner solve
-    shrink: float = 0.95       # pullback from the volume face for the start
-    c_margin: float = 1.1      # starting compliance variable, times FEM value
+# The penalty schedule of run_nsdp_local.
+RHO_INIT = 10.0         # initial constraint-penalty weight
+RHO_MAX = 1e12
+BARRIER_INIT = 1e-1     # barrier weight runs at RHO_INIT/rho * this
+INNER_MAXITER = 500
+MAX_RETRIES = 3         # per-stage rho back-offs after a stalled inner solve
+SHRINK = 0.95           # pullback from the volume face for the start
+C_MARGIN = 1.1          # starting compliance variable, times FEM value
 
 
 def smallest_eigenpair(c: float, f: np.ndarray,
@@ -295,11 +292,6 @@ def _barrier(t: np.ndarray, t0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return value, slope
 
 
-def _barrier_widths(lengths: np.ndarray, vbar: float) -> tuple[float, float]:
-    """Widths t0 of the quadratic barrier zones of the areas and the volume slack."""
-    return 1e-8 * (vbar / float(np.sum(lengths))), 1e-4 * vbar
-
-
 class NsdpPenalty:
     """The penalty objective of run_nsdp_local and its gradient in (a, c).
 
@@ -318,8 +310,9 @@ class NsdpPenalty:
         self.lengths = asm.lengths
         self.vbar = gs.volume_bound
         self.ne = gs.n_elements
-        t0_a, t0_v = _barrier_widths(self.lengths, self.vbar)
-        self.t0 = np.append(np.full(self.ne, t0_a), t0_v)
+        # Widths of the quadratic barrier zones of the areas and the volume slack.
+        t0_a = 1e-8 * (self.vbar / float(np.sum(self.lengths)))
+        self.t0 = np.append(np.full(self.ne, t0_a), 1e-4 * self.vbar)
         diag0 = np.abs(np.concatenate(([c0], asm.stiffness_band(a0)[-1])))
         d = 1.0 / np.sqrt(np.maximum(diag0, 1e-12 * np.max(diag0)))
         self.lmi = ScaledLmi(asm, d)
@@ -354,34 +347,25 @@ class NsdpPenalty:
         return val * norm, grad * norm
 
 
-def run_nsdp_local(gs: GroundStructure, cfg: NsdpConfig | None = None,
-                   initial: np.ndarray | None = None) -> LocalResult:
+def run_nsdp_local(gs: GroundStructure, rho_growth: float = 10.0) -> LocalResult:
     """Exterior penalty method for min c s.t. G(a, c) >= 0, l'a <= Vbar, a >= 0.
 
     Minimizes NsdpPenalty, c + rho * min(lambda_min(D G D), 0)^2 plus a
-    shrinking log-barrier on the linear constraints, increasing rho
-    geometrically.  The terminal point is labeled infeasible-point (with no
-    compliance) unless ``min_eigenvalue`` of D G D (the banded root, 0.0
-    when G >= 0) clears -1e-6 times ``eigenvalue_scale``, a Gershgorin bound
-    on ||D G D||.  The diagnostics count the penalty ``evaluations`` and the
-    banded factorizations in them, ``eig_solves``.
+    shrinking log-barrier on the linear constraints, multiplying rho by
+    ``rho_growth`` per stage.  The terminal point is labeled
+    infeasible-point (with no compliance) unless ``min_eigenvalue`` of
+    D G D (the banded root, 0.0 when G >= 0) clears -1e-6 times
+    ``eigenvalue_scale``, a Gershgorin bound on ||D G D||.  The
+    diagnostics count the penalty ``evaluations`` and the banded
+    factorizations in them, ``eig_solves``.
     """
-    cfg = cfg or NsdpConfig()
     clock = PhaseClock()
     asm = require_valid(gs)
     lengths = asm.lengths
     vbar = gs.volume_bound
     ne = gs.n_elements
 
-    if initial is None:
-        a0 = cfg.shrink * uniform_design(gs)
-    else:
-        a0 = np.asarray(initial, dtype=float).copy()
-        # Pull strictly inside the linear constraints for the barrier.
-        a0 = np.maximum(a0, 10.0 * _barrier_widths(lengths, vbar)[0])
-        excess = float(lengths @ a0) / (cfg.shrink * vbar)
-        if excess > 1.0:
-            a0 /= excess
+    a0 = SHRINK * uniform_design(gs)
     if asm.free.size == 0:      # every DOF supported: G(a, c) = [c], least c = 0
         return LocalResult(method="nsdp", areas=a0, compliance=0.0, status="converged",
                            iterations=0, reason="criterion met",
@@ -391,12 +375,12 @@ def run_nsdp_local(gs: GroundStructure, cfg: NsdpConfig | None = None,
     # to 2e-12 relative away, alone moves some runs to another end point.
     with clock.solving():
         f_hat = asm.loads(a0)[asm.free]
-        c0 = cfg.c_margin * float(f_hat @ np.linalg.solve(asm.stiffness(a0), f_hat))
+        c0 = C_MARGIN * float(f_hat @ np.linalg.solve(asm.stiffness(a0), f_hat))
     x = np.concatenate([a0, [c0]])
     phi = NsdpPenalty(gs, a0, c0)
 
     def solve_stage(x0: np.ndarray, rho: float):
-        beta = cfg.barrier_init * cfg.rho_init / rho
+        beta = BARRIER_INIT * RHO_INIT / rho
         # Normalize each stage so the inner solver starts with O(1) gradients;
         # a positive rescale leaves the minimizers unchanged.
         _, g0 = phi(x0, rho, beta, 1.0)
@@ -404,21 +388,21 @@ def run_nsdp_local(gs: GroundStructure, cfg: NsdpConfig | None = None,
         out = scipy.optimize.minimize(
             phi, x0, args=(rho, beta, norm), jac=True, method="L-BFGS-B",
             bounds=[(0.0, None)] * ne + [(None, None)],
-            options={"maxiter": cfg.inner_maxiter, "ftol": 1e-16, "gtol": 1e-14},
+            options={"maxiter": INNER_MAXITER, "ftol": 1e-16, "gtol": 1e-14},
         )
         return out.x, out.nit, float(np.max(np.abs(out.jac)) / norm)
 
     history = []
     stages = []
     rho_prev = None
-    rho = cfg.rho_init
+    rho = RHO_INIT
     while True:
         x_new, nit, grad_inf = solve_stage(x, rho)
         if nit == 0 and rho_prev is not None:
             # A jump in rho can leave the warm start where the line search
             # fails outright; halve the log-gap with intermediate stages.
             mid = rho_prev
-            for _ in range(cfg.max_retries):
+            for _ in range(MAX_RETRIES):
                 mid = float(np.sqrt(mid * rho))
                 x_mid, nit_mid, _ = solve_stage(x, mid)
                 if nit_mid > 0:
@@ -430,10 +414,10 @@ def run_nsdp_local(gs: GroundStructure, cfg: NsdpConfig | None = None,
         lam = smallest_eigenpair(*phi.lmi.parts(x[:ne], x[ne]))[0]
         history.append((float(lengths @ x[:ne]), float(x[ne]), lam))
         stages.append((rho, nit, grad_inf))
-        if rho >= cfg.rho_max:
+        if rho >= RHO_MAX:
             break
         rho_prev = rho
-        rho = min(rho * cfg.rho_growth, cfg.rho_max)
+        rho = min(rho * rho_growth, RHO_MAX)
 
     a, c = np.maximum(x[:ne], 0.0), float(x[ne])
     parts = phi.lmi.parts(a, c)

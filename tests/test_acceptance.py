@@ -20,10 +20,8 @@ from conftest import (
     rng,
 )
 from frameopt.analysis import compliance, compliance_gradient
-from frameopt.cli import SolveSettings
 from frameopt.model import uniform_design
 from frameopt.moments import (
-    HierarchyConfig,
     build_relaxation,
     moment_vector,
     run_hierarchy,
@@ -45,8 +43,7 @@ def hierarchy(name):
     if name not in _HIERARCHY:
         case = benchmark_case(name)
         start = time.perf_counter()
-        result = run_hierarchy(case.build(),
-                               HierarchyConfig(r_max=case.po_order))
+        result = run_hierarchy(case.build(), r_max=case.po_order)
         _HIERARCHY[name] = (result, time.perf_counter() - start)
     return _HIERARCHY[name]
 
@@ -62,9 +59,10 @@ def local(name, method):
             result = run_oc(gs)
         elif method == "nlp":
             result = run_local_nlp(gs)
+        elif case.nsdp_gentle:
+            result = run_nsdp_local(gs, rho_growth=math.sqrt(10.0))
         else:
-            cfg = SolveSettings(nsdp_gentle=case.nsdp_gentle).nsdp()
-            result = run_nsdp_local(gs, cfg)
+            result = run_nsdp_local(gs)
         _LOCAL[key] = (result, time.perf_counter() - start)
     return _LOCAL[key]
 

@@ -1,20 +1,27 @@
 """CLI exit codes, report files, and the benchmark driver."""
 
+import inspect
 import json
+import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from frameopt import cli
 from frameopt.cli import (
     EXIT_INFEASIBLE,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
+    METHODS,
     SolveSettings,
     main,
     run_benchmark,
     run_method,
 )
+from frameopt.local import OcConfig
+from frameopt.model import ModelError
 from frameopt.problems import benchmark_case, cantilever, save_problem
 
 CANT3_AREAS = "0.141767,0.102424,0.055809"
@@ -44,6 +51,9 @@ def test_missing_problem_is_usage_error(capsys):
 @pytest.mark.parametrize("option, value, message", [
     pytest.param("--eta", "0", "--eta must be positive", id="0"),
     pytest.param("--eta", "-0.3", "--eta must be positive", id="-0.3"),
+    pytest.param("--zeta", "0", "--zeta must be in (0, 1]", id="zeta-0"),
+    pytest.param("--zeta", "-0.5", "--zeta must be in (0, 1]", id="zeta-negative"),
+    pytest.param("--zeta", "1.5", "--zeta must be in (0, 1]", id="zeta-above-1"),
     pytest.param("--eps", "-0.01", "--eps must be non-negative", id="eps-negative"),
     pytest.param("--order-max", "0", "--order-max must be at least 1", id="order-max-0"),
     pytest.param("--order-max", "-2", "--order-max must be at least 1", id="order-max-negative"),
@@ -251,3 +261,54 @@ def test_run_benchmark_respects_case_methods():
     assert report.results[0].status == "converged"
     areas = report.results[0].areas
     assert np.all(np.diff(areas) <= 1e-6)
+
+
+# Every setting at a value other than its default.
+SETTINGS = SolveSettings(eps=2e-6, zeta=0.25, eta=0.4, gap_tol=1e-3,
+                         order_max=3, nsdp_gentle=True)
+
+
+def record_solvers(monkeypatch) -> dict:
+    """Replace the four solvers that cli calls with recorders of their
+    bound arguments, defaults filled in.  A recorder raises ModelError, so
+    run_method reports status "error" without solving anything."""
+    calls = {}
+    for name in ("run_oc", "run_local_nlp", "run_nsdp_local", "run_hierarchy"):
+        def record(*args, _name=name, _sig=inspect.signature(getattr(cli, name)),
+                   **kwargs):
+            bound = _sig.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls[_name] = bound.arguments
+            raise ModelError("recorded")
+        monkeypatch.setattr(cli, name, record)
+    return calls
+
+
+def test_run_method_hands_every_setting_to_its_solver(monkeypatch):
+    calls = record_solvers(monkeypatch)
+    gs = cantilever(3)
+    for method in METHODS:
+        assert run_method(gs, method, SETTINGS).status == "error"
+    assert calls["run_oc"]["cfg"] == OcConfig(eps=2e-6, zeta=0.25, eta=0.4)
+    assert calls["run_local_nlp"]["eps"] == 2e-6
+    assert calls["run_nsdp_local"]["rho_growth"] == math.sqrt(10.0)
+    assert calls["run_hierarchy"]["r_max"] == 3
+    assert calls["run_hierarchy"]["gap_tol"] == 1e-3
+    run_method(gs, "nsdp", replace(SETTINGS, nsdp_gentle=False))
+    assert calls["run_nsdp_local"]["rho_growth"] == 10.0
+
+
+def test_run_benchmark_takes_order_and_gentle_from_the_case(monkeypatch):
+    calls = record_solvers(monkeypatch)
+    # cantilever-3: po_order 2, nsdp_gentle; the settings say 3 and not gentle.
+    run_benchmark(benchmark_case("cantilever-3"),
+                  settings=replace(SETTINGS, nsdp_gentle=False))
+    assert calls["run_oc"]["cfg"] == OcConfig(eps=2e-6, zeta=0.25, eta=0.4)
+    assert calls["run_local_nlp"]["eps"] == 2e-6
+    assert calls["run_nsdp_local"]["rho_growth"] == math.sqrt(10.0)
+    assert calls["run_hierarchy"]["r_max"] == 2
+    assert calls["run_hierarchy"]["gap_tol"] == 1e-3
+    # tenbeam: po_order 2, not gentle; the settings say 3 and gentle.
+    run_benchmark(benchmark_case("tenbeam"), methods=("nsdp", "po"), settings=SETTINGS)
+    assert calls["run_nsdp_local"]["rho_growth"] == 10.0
+    assert calls["run_hierarchy"]["r_max"] == 2

@@ -12,7 +12,6 @@ from frameopt import local, problems
 from frameopt.analysis import compliance, compliance_gradient
 from frameopt.local import (
     BracketError,
-    NlpConfig,
     OcConfig,
     kkt_residual,
     oc_b_factors,
@@ -392,13 +391,13 @@ def test_kkt_residual_vanishes_only_at_kkt_points():
     (make_girder(n_e=11, volume=0.44), 100),
 ], ids=["cantilever-100", "girder-11"])
 def test_nlp_stops_at_float_floor_on_kkt_residual(gs, max_iter):
-    # The projected-gradient measure floors above stat_tol in these units
+    # The projected-gradient measure floors above STAT_TOL in these units
     # (1.1e-7 and 1.4e-6); the scale-free KKT residual still certifies
     # the design, which is oc's optimum.
     r = run_local_nlp(gs)
     assert (r.status, r.reason) == ("converged", "kkt residual met")
     assert r.iterations <= max_iter
-    assert r.stationarity > NlpConfig().stat_tol
+    assert r.stationarity > local.STAT_TOL
     assert r.diagnostics["kkt_residual"] <= local.KKT_TOL
     oc = run_oc(gs)
     assert r.compliance == pytest.approx(oc.compliance, rel=1e-8)
@@ -441,13 +440,15 @@ def test_nsdp_converged_design_meets_volume_bound(case):
     assert r.compliance == compliance(gs, r.areas).compliance
 
 
-def test_local_results_name_their_stop_reason(girder):
+def test_local_results_name_their_stop_reason(girder, monkeypatch):
     assert run_oc(make_cantilever(3)).reason == "criterion met"
-    assert run_oc(make_cantilever(3), OcConfig(max_iter=2)).reason == "iteration limit"
     nlp = run_local_nlp(make_cantilever(3))
     assert nlp.reason == "criterion met"
     assert nlp.diagnostics["kkt_residual"] <= 1e-6
-    capped = run_local_nlp(make_cantilever(3), NlpConfig(max_iter=3))
+    monkeypatch.setattr(local, "OC_MAX_ITER", 2)
+    assert run_oc(make_cantilever(3)).reason == "iteration limit"
+    monkeypatch.setattr(local, "NLP_MAX_ITER", 3)
+    capped = run_local_nlp(make_cantilever(3))
     assert (capped.status, capped.reason, capped.iterations) == ("iter-limit", "iteration limit", 3)
     infeasible = run_nsdp_local(girder)
     assert infeasible.reason == "infeasible point"
@@ -470,7 +471,7 @@ def test_nlp_early_stop_reports_its_reason(monkeypatch):
     r = run_local_nlp(make_cantilever(3))
     assert r.status == "iter-limit"
     assert r.reason == "line search failed"
-    assert r.iterations < NlpConfig().max_iter
+    assert r.iterations < local.NLP_MAX_ITER
 
 
 @pytest.mark.parametrize("runner", [run_oc, run_local_nlp, run_nsdp_local])

@@ -10,7 +10,6 @@ from frameopt import moments
 from frameopt.analysis import compliance
 from frameopt.model import GroundStructure
 from frameopt.moments import (
-    HierarchyConfig,
     Relaxation,
     build_relaxation,
     extract_design,
@@ -23,7 +22,8 @@ from frameopt.moments import (
     scale_problem,
     solve_relaxation,
 )
-from frameopt.sdp import SdpConfig, _Presolve, solve_sdp
+from frameopt import sdp
+from frameopt.sdp import _Presolve, solve_sdp
 
 PSD_TOL = 1e-8
 # Frozen local-solver reference for the three-element cantilever.
@@ -140,9 +140,9 @@ def test_solve_relaxation_leaves_y0_to_the_solver(cantilever3, girder, monkeypat
     rel = build_relaxation(scale_problem(cantilever3), 1)
     seen = []
 
-    def spy(problem, cfg=None):
+    def spy(problem):
         seen.append(problem)
-        return solve_sdp(problem, cfg)
+        return solve_sdp(problem)
 
     monkeypatch.setattr(moments, "solve_sdp", spy)
     rsol = solve_relaxation(rel)
@@ -263,7 +263,7 @@ def test_gap_certificate_boundaries():
 
 
 def test_hierarchy_single_element_certifies_first_order():
-    res = run_hierarchy(make_cantilever(1), HierarchyConfig(r_max=1))
+    res = run_hierarchy(make_cantilever(1), r_max=1)
     assert res.status == "certified-optimal"
     assert res.compliance == pytest.approx(107.50, rel=5e-3)
     assert res.lower == pytest.approx(107.50, rel=5e-3)
@@ -273,7 +273,7 @@ def test_hierarchy_single_element_certifies_first_order():
 
 
 def test_hierarchy_three_element_cantilever(cantilever3):
-    res = run_hierarchy(cantilever3, HierarchyConfig(r_max=2))
+    res = run_hierarchy(cantilever3, r_max=2)
     first, second = res.certificates
     assert first.verdict == "bounded"
     assert first.lower == pytest.approx(35.81, rel=1e-2)
@@ -291,11 +291,11 @@ def test_hierarchy_three_element_cantilever(cantilever3):
     assert res.diagnostics["monotonicity_violations"] == []
 
 
-def test_hierarchy_records_solver_failure(cantilever3):
+def test_hierarchy_records_solver_failure(cantilever3, monkeypatch):
     # Starving the SDP solver of iterations must yield a failed certificate,
     # not an exception or a bogus bound.
-    res = run_hierarchy(cantilever3,
-                        HierarchyConfig(r_max=1, sdp=SdpConfig(max_iter=1)))
+    monkeypatch.setattr(sdp, "MAX_ITER", 1)
+    res = run_hierarchy(cantilever3, r_max=1)
     assert res.status == "failed"
     assert res.certificates[0].verdict == "failed"
     assert math.isnan(res.certificates[0].lower)
@@ -307,8 +307,8 @@ def test_hierarchy_records_solver_failure(cantilever3):
 
 
 def test_hierarchy_deterministic(cantilever3):
-    first = run_hierarchy(cantilever3, HierarchyConfig(r_max=2))
-    second = run_hierarchy(cantilever3, HierarchyConfig(r_max=2))
+    first = run_hierarchy(cantilever3, r_max=2)
+    second = run_hierarchy(cantilever3, r_max=2)
     assert first.compliance == second.compliance
     assert np.array_equal(first.areas, second.areas)
     assert [c.lower for c in first.certificates] == [c.lower for c in second.certificates]

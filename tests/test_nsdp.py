@@ -21,7 +21,6 @@ from frameopt.model import (
 from frameopt.nsdp import (
     PSD_RTOL,
     IncompatibleLoadError,
-    NsdpConfig,
     NsdpPenalty,
     ScaledLmi,
     build_compliance_lmi,
@@ -294,8 +293,7 @@ def test_nsdp_cantilever5():
 def test_nsdp_cantilever7_gentle_schedule():
     # The default x10 penalty growth stalls on this instance; halving the
     # log-steps recovers the same design the other local methods reach.
-    cfg = NsdpConfig(rho_growth=math.sqrt(10.0))
-    r = run_nsdp_local(make_cantilever(7), cfg)
+    r = run_nsdp_local(make_cantilever(7), rho_growth=math.sqrt(10.0))
     assert r.status == "converged"
     assert r.compliance == pytest.approx(76.23, rel=1e-2)
 

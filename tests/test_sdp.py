@@ -7,7 +7,6 @@ from frameopt.moments import build_relaxation, scale_problem
 from frameopt.problems import cantilever
 from frameopt.sdp import (
     SdpBlock,
-    SdpConfig,
     SdpError,
     SdpProblem,
     _BlockData,
