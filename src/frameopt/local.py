@@ -255,7 +255,7 @@ def kkt_residual(grad: np.ndarray, a: np.ndarray, lengths: np.ndarray,
                float(np.max(ratio[~active], initial=0.0)))
 
 
-def run_local_nlp(gs: GroundStructure, eps: float = 1e-6) -> LocalResult:
+def run_local_nlp(gs: GroundStructure, eps: float = OcConfig.eps) -> LocalResult:
     """Projected-gradient descent with Barzilai-Borwein steps, areas >= eps.
 
     Nonmonotone Armijo backtracking over a short history window; the

@@ -20,10 +20,10 @@ monomials of degree <= 2r:
 all expressible in the dual SDP form the interior-point solver consumes.  The
 solver is handed that problem as it stands, y_0 = 1 included, and eliminates
 the equality in its own presolve; solutions come back in full moment
-coordinates.  The SDP optimum is a lower bound on the global compliance; the
-repaired first-moment design gives an FEM upper bound.  The gap between them
-closing (or the moment matrix going flat, reported alongside) certifies that a
-global optimum has been found.
+coordinates.  Each order's dual iterate proves a lower bound on the global
+compliance, whatever the solver's status (lower_bound); the repaired
+first-moment design gives an FEM upper bound.  The bounds closing (or the
+moment matrix going flat, reported alongside) certifies a global optimum.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
+from scipy.linalg import eigvalsh
 
 from frameopt.analysis import (
     DanglingLoadError,
@@ -47,9 +48,6 @@ BASIS_LIMIT = 10 ** 6   # refuse monomial bases beyond this size
 RANK_TOL = 1e-6         # relative singular-value cutoff for numerical rank
 GAP_TOL = 1e-4          # default relative gap that certifies optimality
 MONO_SLACK = 1e-7       # tolerated lower-bound decrease between orders
-
-# SDP statuses whose solution yields a lower bound.
-OK_STATUS = ("optimal", "near-optimal")
 
 Exponent = tuple[int, ...]
 
@@ -303,8 +301,8 @@ class RelaxationSolution:
 
     `y`, `lower` and `sdp` all refer to `Relaxation.problem`, y_0 = 1
     included: the solver eliminates that equality itself, so y[0] is exactly
-    1.  `lower` equals `sdp.objective` here; it is kept apart as the bound
-    the certificate uses.
+    1.  `lower` is the bound that `sdp.z` proves, whatever `status` says; in
+    exact arithmetic it never exceeds `sdp.dual_objective`.
     """
 
     y: np.ndarray
@@ -314,9 +312,37 @@ class RelaxationSolution:
 
 
 def solve_relaxation(rel: Relaxation) -> RelaxationSolution:
-    """Solve one order; the SDP optimum is the lower bound."""
+    """Solve one order; its lower bound is the one the returned Z proves."""
     sol = solve_sdp(rel.problem)
-    return RelaxationSolution(sol.y, sol.objective, sol.status, sol)
+    return RelaxationSolution(sol.y, lower_bound(rel, sol.z), sol.status, sol)
+
+
+def lower_bound(rel: Relaxation, z: list[np.ndarray]) -> float:
+    """The bound on the relaxation's optimum that any Z proves, PSD or not.
+
+    Feasible y have y_0 = 1 and |y_alpha| <= 1 (the ball localizers bound
+    diag M_r(y) by y_0, and M_r(y) >= 0 bounds the rest), and every block has
+    C = 0.  So with r = b - A*(Z), b'y = r'y + sum_k <S_k(y), Z_k> is at least
+        r_0 - sum_{alpha != 0} |r_alpha| + sum_k min(0, lambda_min(Z_k)) sum_alpha |tr A_alpha(k)|
+    (Jansson, Chaykin & Keil, SIAM J. Numer. Anal. 46, 2007), less rounding:
+    gamma_n <= 2 n u (Higham, Accuracy and Stability, 3.1) on each sum of n
+    terms, and gamma_n ||Z_k||_F on lambda_min of an n x n Z_k.
+    """
+    p, u = rel.problem, 2.0 ** -53
+    resid, size, count, eig = p.b.copy(), np.abs(p.b), len(p.blocks) + 1.0, 0.0
+    gamma = 2.0 * u * (p.m + sum(blk.var.size + 1 for blk in p.blocks))
+    for blk, zk in zip(p.blocks, z):
+        diag = blk.row == blk.col
+        term = np.where(diag, 1.0, 2.0) * blk.val * zk[blk.row, blk.col]
+        resid -= np.bincount(blk.var, term, minlength=p.m)
+        size += np.bincount(blk.var, np.abs(term), minlength=p.m)
+        count = count + np.bincount(blk.var, minlength=p.m)
+        trace = np.abs(np.bincount(blk.var[diag], blk.val[diag], minlength=p.m)).sum()
+        lam = eigvalsh(zk, subset_by_index=(0, 0))[0] - 2.0 * u * blk.n * np.linalg.norm(zk)
+        eig += min(0.0, lam) * trace * (1.0 + gamma)
+    free = float(np.abs(resid[1:]).sum())
+    slack = 2.0 * u * float(count @ size) + gamma * (abs(resid[0]) + free - eig)
+    return float(resid[0] - free + eig - slack)
 
 
 def moment_matrix(rel: Relaxation, y: np.ndarray,
@@ -454,8 +480,8 @@ def run_hierarchy(gs: GroundStructure, r_max: int = 3,
                   gap_tol: float = GAP_TOL) -> HierarchyResult:
     """Run orders r = 1 ... r_max, stopping early once an order certifies.
 
-    Solver failures are recorded per order and the hierarchy moves on; the
-    best feasible design found across orders is returned either way.
+    Every order is judged on the bound its Z proves, whatever its recorded
+    SDP status; the best feasible design found is returned either way.
     """
     sp = scale_problem(gs)
     certs: list[Certificate] = []
@@ -478,9 +504,6 @@ def run_hierarchy(gs: GroundStructure, r_max: int = 3,
                                "n_moments": rel.n_moments,
                                "phase_s": rsol.sdp.diagnostics["phase_s"],
                                "schur_gflop": rsol.sdp.diagnostics["schur_gflop"]})
-        if rsol.status not in OK_STATUS:
-            certs.append(Certificate(r, math.nan, math.inf, math.nan, "failed"))
-            continue
         lower = rsol.lower
         if lower < prev_lower - MONO_SLACK * max(1.0, abs(prev_lower)):
             diag["monotonicity_violations"].append((r, prev_lower, lower))

@@ -73,6 +73,7 @@ SECULAR_MAXITER = 100
 
 # The penalty schedule of run_nsdp_local.
 RHO_INIT = 10.0         # initial constraint-penalty weight
+RHO_GROWTH = 10.0       # default penalty growth per stage
 RHO_MAX = 1e12
 BARRIER_INIT = 1e-1     # barrier weight runs at RHO_INIT/rho * this
 INNER_MAXITER = 500
@@ -347,7 +348,7 @@ class NsdpPenalty:
         return val * norm, grad * norm
 
 
-def run_nsdp_local(gs: GroundStructure, rho_growth: float = 10.0) -> LocalResult:
+def run_nsdp_local(gs: GroundStructure, rho_growth: float = RHO_GROWTH) -> LocalResult:
     """Exterior penalty method for min c s.t. G(a, c) >= 0, l'a <= Vbar, a >= 0.
 
     Minimizes NsdpPenalty, c + rho * min(lambda_min(D G D), 0)^2 plus a

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from frameopt.local import OcConfig
 from frameopt.model import GroundStructure
 
 STROKE_FRACTION = 0.04  # widest member as a fraction of the drawing span
@@ -25,7 +26,7 @@ def _fmt(value: float) -> str:
     return "0" if text == "-0" else text
 
 
-def render_svg(gs: GroundStructure, areas, eps: float = 1e-6) -> str:
+def render_svg(gs: GroundStructure, areas, eps: float = OcConfig.eps) -> str:
     """SVG document for a design; members with a_i <= eps + 1e-12 are omitted."""
     areas = np.asarray(areas, dtype=float)
     if areas.shape != (gs.n_elements,):
@@ -67,7 +68,7 @@ def render_svg(gs: GroundStructure, areas, eps: float = 1e-6) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_topology(gs: GroundStructure, areas, path, eps: float = 1e-6) -> None:
+def render_topology(gs: GroundStructure, areas, path, eps: float = OcConfig.eps) -> None:
     """Write the SVG for a design to a file."""
     text = render_svg(gs, areas, eps=eps)
     with open(path, "w", encoding="utf-8", newline="\n") as handle:

@@ -34,7 +34,8 @@ block picks, from its size and the entries per variable, between one product
 over the whole block and products over the distinct rows of each A_v,
 contracted on the positions the block uses (see _BlockData).
 Infeasibility and unboundedness are reported through divergence heuristics,
-not certificates.
+not certificates.  A run short of its tolerances ends `numerical-failure`
+on its best iterate; moments derives a rigorous bound from that Z.
 """
 
 from __future__ import annotations
@@ -60,12 +61,6 @@ SCHUR_CALL_FLOPS = 1e5       # overhead of one per-variable product, counted in 
 MAX_ITER = 200
 TOL_GAP = 1e-7          # relative duality gap for status optimal
 TOL_FEAS = 1e-8         # relative feasibility for status optimal
-# Relaxed thresholds for near-optimal.  Moment SDPs are degenerate near
-# optimality: the dual residual typically floors around 1e-4 while the gap
-# keeps closing.  Accept such iterates as near-optimal; the certificate logic
-# judges the resulting bounds on their numerical merits either way.
-NEAR_GAP = 1e-3
-NEAR_FEAS = 1e-4
 STEP_FRACTION = 0.98    # fraction-to-the-boundary
 DIVERGE = 1e12          # objective blow-up threshold
 STALL_STEPS = 3         # consecutive tiny steps before giving up
@@ -516,15 +511,8 @@ def _interior_point(p: SdpProblem) -> SdpSolution:
 
     clock.start(None)
     y_best, z_best, met = best if best is not None else (y, z_mats, metrics)
-    if status not in ("optimal", "unbounded", "infeasible"):
-        if _is_within(met, TOL_FEAS, TOL_GAP):
-            status = "optimal"
-        elif _is_within(met, NEAR_FEAS, NEAR_GAP):
-            status = "near-optimal"
-        elif met["rel_psd_violation"] > NEAR_FEAS and met["rel_dual"] < NEAR_FEAS:
-            # Slack residual cannot be driven out while the dual stays clean:
-            # treat the primal constraints as inconsistent.
-            status = "infeasible"
+    if status == "numerical-failure" and _is_within(met, TOL_FEAS, TOL_GAP):
+        status = "optimal"
 
     # Internal pencils are the originals over bd.scale, so the dual matrix in
     # original units is Z/scale.

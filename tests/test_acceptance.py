@@ -27,7 +27,7 @@ from frameopt.moments import (
     run_hierarchy,
     scale_problem,
 )
-from frameopt.nsdp import check_schur_equivalence, run_nsdp_local
+from frameopt.nsdp import RHO_GROWTH, check_schur_equivalence, run_nsdp_local
 from frameopt.local import run_local_nlp, run_oc
 from frameopt.problems import benchmark_case
 from frameopt.sdp import check_kkt, solve_sdp
@@ -60,7 +60,7 @@ def local(name, method):
         elif method == "nlp":
             result = run_local_nlp(gs)
         elif case.nsdp_gentle:
-            result = run_nsdp_local(gs, rho_growth=math.sqrt(10.0))
+            result = run_nsdp_local(gs, rho_growth=math.sqrt(RHO_GROWTH))
         else:
             result = run_nsdp_local(gs)
         _LOCAL[key] = (result, time.perf_counter() - start)
@@ -257,8 +257,11 @@ def test_criterion_6_property_suites():
              "tenbeam", "girder")
     sandwich_ok = True
     monotone_ok = True
+    proven_ok = True
     for name in names:
         result, _ = hierarchy(name)
+        proven_ok &= all(c.lower <= c.upper + 1e-12 * max(1.0, abs(c.upper))
+                         for c in result.certificates)
         lowers = [c.lower for c in result.certificates
                   if math.isfinite(c.lower)]
         uppers = [c.upper for c in result.certificates
@@ -270,6 +273,8 @@ def test_criterion_6_property_suites():
     checks.append(("lower bounds below upper bounds on all benchmarks",
                    sandwich_ok))
     checks.append(("lower bounds monotone across orders", monotone_ok))
+    checks.append(("every order's lower bound below its own upper bound",
+                   proven_ok))
 
     # Dirac-measure feasibility: 10 random feasible points per benchmark.
     gen = rng(31)

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from frameopt import cli
+from frameopt import cli, sdp
 from frameopt.cli import (
     EXIT_INFEASIBLE,
     EXIT_NUMERICAL,
@@ -168,6 +168,17 @@ def test_certify_flat_design(capsys):
     assert report["c_lower"] == pytest.approx(107.5, rel=1e-3)
 
 
+def test_certify_bounds_a_starved_solve(capsys, monkeypatch):
+    # One interior-point iteration ends short of tolerance; the bound its Z
+    # proves is weak but valid, so certify reports it instead of failing.
+    monkeypatch.setattr(sdp, "MAX_ITER", 1)
+    code = main(["certify", "cantilever-1", "--areas", "0.1", "--order", "1"])
+    assert code == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert math.isfinite(report["c_lower"]) and report["c_lower"] <= 107.5
+    assert report["certified"] is False
+
+
 def test_certify_rejects_volume_violation(capsys):
     code = main(["certify", "cantilever-1", "--areas", "0.2", "--order", "1"])
     assert code == EXIT_INFEASIBLE
@@ -240,7 +251,7 @@ def test_run_method_po_reports_orders():
     assert result.lower == pytest.approx(35.81, rel=0.02)
     row = result.orders[0]
     assert row["r"] == 1 and row["c_lower"] == pytest.approx(result.lower)
-    assert row["sdp_status"] in ("optimal", "near-optimal")
+    assert row["sdp_status"] == "optimal"
     assert isinstance(row["sdp_reason"], str) and row["sdp_reason"]
     assert row["sdp_iterations"] > 0
     assert row["n_moments"] == 15  # monomials of degree <= 2 in 4 variables

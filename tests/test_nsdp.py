@@ -20,6 +20,7 @@ from frameopt.model import (
 )
 from frameopt.nsdp import (
     PSD_RTOL,
+    RHO_GROWTH,
     IncompatibleLoadError,
     NsdpPenalty,
     ScaledLmi,
@@ -293,7 +294,7 @@ def test_nsdp_cantilever5():
 def test_nsdp_cantilever7_gentle_schedule():
     # The default x10 penalty growth stalls on this instance; halving the
     # log-steps recovers the same design the other local methods reach.
-    r = run_nsdp_local(make_cantilever(7), rho_growth=math.sqrt(10.0))
+    r = run_nsdp_local(make_cantilever(7), rho_growth=math.sqrt(RHO_GROWTH))
     assert r.status == "converged"
     assert r.compliance == pytest.approx(76.23, rel=1e-2)
 
