@@ -211,7 +211,8 @@ def _order_rows(hr: HierarchyResult) -> list[dict]:
     rows = []
     for cert in hr.certificates:
         o = by_order[cert.order]
-        rows.append({**cert.report(), "sdp_status": o["status"],
+        rows.append({**cert.report(), "lower_iteration": o["lower_iteration"],
+                     "sdp_status": o["status"],
                      "sdp_reason": o["reason"],
                      "sdp_iterations": o["sdp_iterations"],
                      "n_moments": o["n_moments"],
@@ -401,11 +402,14 @@ def _cmd_certify(args) -> int:
         rel = build_relaxation(sp, args.order)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    sol = solve_relaxation(rel)
+    sol = solve_relaxation(rel, args.gap_tol, upper)
     ranks = rank_certificate(rel, sol.y)
     cert = gap_certificate(sol.lower, upper, gap_tol=args.gap_tol,
                            order=args.order, ranks=ranks, areas=areas)
-    print(json.dumps(cert.report(), indent=2))
+    print(json.dumps({**cert.report(), "lower_iteration": sol.lower_iteration,
+                      "sdp_status": sol.status,
+                      "sdp_reason": sol.sdp.diagnostics["reason"],
+                      "sdp_iterations": sol.sdp.iterations}, indent=2))
     return EXIT_OK if cert.verdict != "failed" else EXIT_NUMERICAL
 
 

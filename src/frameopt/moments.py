@@ -20,10 +20,14 @@ monomials of degree <= 2r:
 all expressible in the dual SDP form the interior-point solver consumes.  The
 solver is handed that problem as it stands, y_0 = 1 included, and eliminates
 the equality in its own presolve; solutions come back in full moment
-coordinates.  Each order's dual iterate proves a lower bound on the global
-compliance, whatever the solver's status (lower_bound); the repaired
-first-moment design gives an FEM upper bound.  The bounds closing (or the
-moment matrix going flat, reported alongside) certifies a global optimum.
+coordinates.  Every dual iterate proves a lower bound on the global
+compliance, whatever the solver's status (lower_bound).  A callback sees
+each iterate; an order's lower bound is the best one proven along the path,
+and the same callback ends the solve once that bound certifies with a flat
+moment matrix or stops rising (_StopRule).  The repaired first-moment
+design of the iterate the solve ends on gives an FEM upper bound.  The
+bounds closing (or the moment matrix going flat, reported alongside)
+certifies a global optimum.
 """
 
 from __future__ import annotations
@@ -48,6 +52,9 @@ BASIS_LIMIT = 10 ** 6   # refuse monomial bases beyond this size
 RANK_TOL = 1e-6         # relative singular-value cutoff for numerical rank
 GAP_TOL = 1e-4          # default relative gap that certifies optimality
 MONO_SLACK = 1e-7       # tolerated lower-bound decrease between orders
+PLATEAU_GATE = 1e-3     # relative distance of the bound to b'y before a plateau counts
+PLATEAU_ITERS = 2       # iterates over which a plateaued bound has not risen ...
+PLATEAU_RTOL = 1e-5     # ... by more than this, relative
 
 Exponent = tuple[int, ...]
 
@@ -299,22 +306,63 @@ def build_relaxation(sp: ScaledProblem, r: int) -> Relaxation:
 class RelaxationSolution:
     """One solved order, in full moment coordinates.
 
-    `y`, `lower` and `sdp` all refer to `Relaxation.problem`, y_0 = 1
-    included: the solver eliminates that equality itself, so y[0] is exactly
-    1.  `lower` is the bound that `sdp.z` proves, whatever `status` says; in
-    exact arithmetic it never exceeds `sdp.dual_objective`.
+    `y` and `sdp` refer to `Relaxation.problem`, y_0 = 1 included: the
+    solver eliminates that equality itself, so y[0] is exactly 1.  `lower`
+    is the best bound that a dual iterate proved along the path, whatever
+    `status` says, and `lower_iteration` the iteration of that iterate.
     """
 
     y: np.ndarray
     lower: float
+    lower_iteration: int
     status: str
     sdp: SdpSolution
 
 
-def solve_relaxation(rel: Relaxation) -> RelaxationSolution:
-    """Solve one order; its lower bound is the one the returned Z proves."""
-    sol = solve_sdp(rel.problem)
-    return RelaxationSolution(sol.y, lower_bound(rel, sol.z), sol.status, sol)
+class _StopRule:
+    """Per-iterate watch of one order: keeps the best proven bound and ends
+    the solve once nothing more is to be learned from it.
+
+    That is when the bound certifies against `upper` (if given, else the FEM
+    compliance of the current iterate's design) and the iterate's moment
+    matrix is flat, so that both certificates hold; or when the bound has
+    stopped rising: it lies within PLATEAU_GATE of the iterate's objective
+    b'y and has risen by at most PLATEAU_RTOL relative over the last
+    PLATEAU_ITERS iterates.
+    """
+
+    def __init__(self, rel: Relaxation, gap_tol: float, upper: float | None):
+        self.rel, self.gap_tol, self.upper = rel, gap_tol, upper
+        self.lower, self.iteration = -math.inf, 0
+        self.trail: list[float] = []  # kept bound after each iterate
+
+    def __call__(self, y: np.ndarray, z: list[np.ndarray]) -> str | None:
+        lower = lower_bound(self.rel, z)
+        if lower > self.lower:
+            self.lower, self.iteration = lower, len(self.trail) + 1
+        self.trail.append(self.lower)
+        upper = self.upper if self.upper is not None else _design(self.rel, y)[1]
+        if gap_certificate(self.lower, upper, self.gap_tol).certified \
+                and rank_certificate(self.rel, y).flat:
+            return "certified and flat"
+        obj = float(self.rel.problem.b @ y)
+        near = abs(obj - self.lower) < PLATEAU_GATE * (1.0 + abs(obj) + abs(self.lower))
+        if near and len(self.trail) > PLATEAU_ITERS and self.lower - \
+                self.trail[-1 - PLATEAU_ITERS] <= PLATEAU_RTOL * max(1.0, abs(self.lower)):
+            return "bound plateaued"
+        return None
+
+
+def solve_relaxation(rel: Relaxation, gap_tol: float = GAP_TOL,
+                     upper: float | None = None) -> RelaxationSolution:
+    """Solve one order until its proven bound certifies or stops rising.
+
+    Certification is against `upper` when given (a design's compliance),
+    else against the design each iterate extracts.
+    """
+    rule = _StopRule(rel, gap_tol, upper)
+    sol = solve_sdp(rel.problem, callback=rule)
+    return RelaxationSolution(sol.y, rule.lower, rule.iteration, sol.status, sol)
 
 
 def lower_bound(rel: Relaxation, z: list[np.ndarray]) -> float:
@@ -376,6 +424,14 @@ def extract_design(rel: Relaxation, y: np.ndarray) -> tuple[np.ndarray, float]:
     if vol > sp.gs.volume_bound > 0.0:
         areas *= sp.gs.volume_bound / vol
     return areas, float(compliance(sp.gs, areas).compliance)
+
+
+def _design(rel: Relaxation, y: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """extract_design, with (None, inf) where the design cannot carry the load."""
+    try:
+        return extract_design(rel, y)
+    except (SingularSystemError, DanglingLoadError):
+        return None, math.inf
 
 
 @dataclass(frozen=True)
@@ -480,8 +536,9 @@ def run_hierarchy(gs: GroundStructure, r_max: int = 3,
                   gap_tol: float = GAP_TOL) -> HierarchyResult:
     """Run orders r = 1 ... r_max, stopping early once an order certifies.
 
-    Every order is judged on the bound its Z proves, whatever its recorded
-    SDP status; the best feasible design found is returned either way.
+    Every order is judged on the best bound its dual iterates proved,
+    whatever its recorded SDP status; the best feasible design found is
+    returned either way.
     """
     sp = scale_problem(gs)
     certs: list[Certificate] = []
@@ -497,10 +554,11 @@ def run_hierarchy(gs: GroundStructure, r_max: int = 3,
         except ValueError as exc:
             diag["orders"].append({"r": r, "status": f"skipped: {exc}"})
             break
-        rsol = solve_relaxation(rel)
+        rsol = solve_relaxation(rel, gap_tol)
         diag["orders"].append({"r": r, "status": rsol.status,
                                "reason": rsol.sdp.diagnostics["reason"],
                                "sdp_iterations": rsol.sdp.iterations,
+                               "lower_iteration": rsol.lower_iteration,
                                "n_moments": rel.n_moments,
                                "phase_s": rsol.sdp.diagnostics["phase_s"],
                                "schur_gflop": rsol.sdp.diagnostics["schur_gflop"]})
@@ -508,10 +566,7 @@ def run_hierarchy(gs: GroundStructure, r_max: int = 3,
         if lower < prev_lower - MONO_SLACK * max(1.0, abs(prev_lower)):
             diag["monotonicity_violations"].append((r, prev_lower, lower))
         prev_lower = max(prev_lower, lower)
-        try:
-            areas, upper = extract_design(rel, rsol.y)
-        except (SingularSystemError, DanglingLoadError):
-            areas, upper = None, math.inf
+        areas, upper = _design(rel, rsol.y)
         ranks = rank_certificate(rel, rsol.y)
         cert = gap_certificate(lower, upper, gap_tol, order=r,
                                ranks=ranks, areas=areas)

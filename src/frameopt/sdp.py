@@ -26,16 +26,24 @@ holds up to rounding whenever the residuals are small.
 
 The solver follows the scaled Mehrotra predictor-corrector recipe: Nesterov-
 Todd scaling points are computed per block from Cholesky factors of S and Z
-through one SVD, which renders the scaled pair jointly diagonal.  The
-linearized complementarity equation then reduces to an elementwise divide,
-and each step costs one Schur-complement build and one dense factorization.
-The build follows Fujisawa, Kojima & Nakata (Math. Prog. 79, 1997): each
-block picks, from its size and the entries per variable, between one product
-over the whole block and products over the distinct rows of each A_v,
-contracted on the positions the block uses (see _BlockData).
-Infeasibility and unboundedness are reported through divergence heuristics,
-not certificates.  A run short of its tolerances ends `numerical-failure`
-on its best iterate; moments derives a rigorous bound from that Z.
+through one SVD, which renders the scaled pair jointly diagonal,
+G'ZG = Ginv S Ginv' = D.  The linearized complementarity equation then
+reduces to an elementwise divide, and each step costs one Schur-complement
+build and one dense factorization.  The build follows Fujisawa, Kojima &
+Nakata (Math. Prog. 79, 1997): each block picks, from its size and the
+entries per variable, between one product over the whole block and products
+over the distinct rows of each A_v, contracted on the positions the block
+uses (see _BlockData).  Step lengths come from the scaled pair too: the
+largest step along a scaled direction is -1/lambda_min(D^-1/2 Delta D^-1/2),
+one lowest eigenvalue per block and direction (Toh, COAP 21, 2002), and the
+scaled dual direction is T - dS~ by the linearized complementarity.
+
+An optional callback sees every iterate in the caller's coordinates and can
+end the run on it; moments stops each relaxation on its proven bound that
+way.  Infeasibility and unboundedness are reported through divergence
+heuristics, not certificates.  A run short of its tolerances ends
+`numerical-failure` on its best iterate; moments derives a rigorous bound
+from that Z.
 """
 
 from __future__ import annotations
@@ -289,11 +297,31 @@ class _PhaseClock:
         self._phase, self._since = phase, now
 
 
-def _max_step(chol_lower: np.ndarray, delta: np.ndarray) -> float:
-    """Largest t with X + t*Delta still PSD, given X = L L'."""
-    w = solve_triangular(chol_lower, delta, lower=True, check_finite=False)
-    w = solve_triangular(chol_lower, w.T, lower=True, check_finite=False)
-    lam = eigvalsh(0.5 * (w + w.T), check_finite=False)[0]
+def _nt_scaling(s: np.ndarray, z: np.ndarray):
+    """Nesterov-Todd factors of a PD pair: G' Z G = Ginv S Ginv' = diag(sig).
+
+    Returns (g, ginv, winv, sig) with winv = Ginv' Ginv = W^-1, through
+    Cholesky factors of S and Z and one SVD.
+    """
+    ls = _chol(s)
+    _, sig, vt = svd(_chol(z).T @ ls, check_finite=False)
+    root = np.sqrt(sig)
+    g = ls @ (vt.T / root)
+    ginv = (root[:, None] * vt) @ solve_triangular(
+        ls, np.eye(ls.shape[0]), lower=True, check_finite=False)
+    return g, ginv, ginv.T @ ginv, sig
+
+
+def _step_to_boundary(sig: np.ndarray, delta: np.ndarray) -> float:
+    """Largest t with diag(sig) + t*Delta still PSD, Delta a scaled direction.
+
+    diag(sig) + t*Delta = D^1/2 (I + t D^-1/2 Delta D^-1/2) D^1/2, so only the
+    lowest eigenvalue of the middle matrix counts (Toh, COAP 21, 2002).
+    Either matrix of the NT-scaled pair is diag(sig), so this serves both the
+    primal and the dual direction.
+    """
+    r = 1.0 / np.sqrt(sig)
+    lam = eigvalsh(delta * np.outer(r, r), subset_by_index=(0, 0), check_finite=False)[0]
     if lam >= -1e-14:
         return np.inf
     return -1.0 / lam
@@ -337,24 +365,35 @@ class _Presolve:
             blocks.append(SdpBlock(blk.n, c, *map(np.concatenate, zip(*parts))))
         self.problem = SdpProblem(p.b[self.nonbasic] - self.t.T @ self.b_basic, blocks)
 
+    def full_y(self, y: np.ndarray) -> np.ndarray:
+        """y of `problem` in the caller's coordinates."""
+        out = np.empty(self.basic.size + self.nonbasic.size)
+        out[self.nonbasic], out[self.basic] = y, self.y0 - self.t @ y
+        return out
+
     def restore(self, sol: SdpSolution) -> SdpSolution:
         """The solution of `problem` in the caller's coordinates, with nu."""
-        y = np.empty(self.basic.size + self.nonbasic.size)
-        y[self.nonbasic], y[self.basic] = sol.y, self.y0 - self.t @ sol.y
         a_z = np.array([sum(float(np.tensordot(a, z)) for a, z in zip(a_i, sol.z))
                         for a_i in self.a_basic])
         nu = self.q @ solve_triangular(self.r11, self.b_basic - a_z, trans="T", check_finite=False)
         obj, dobj = sol.objective + self.offset, sol.dual_objective + self.offset
-        return replace(sol, y=y, nu=nu, objective=obj, dual_objective=dobj,
+        return replace(sol, y=self.full_y(sol.y), nu=nu, objective=obj, dual_objective=dobj,
                        rel_gap=sol.gap / (1.0 + abs(obj) + abs(dobj)))
 
 
-def solve_sdp(p: SdpProblem) -> SdpSolution:
-    """Eliminate E y = d, then path-follow; deterministic and seed-free."""
+def solve_sdp(p: SdpProblem, callback=None) -> SdpSolution:
+    """Eliminate E y = d, then path-follow; deterministic and seed-free.
+
+    `callback(y, z)`, if given, sees every iterate in the caller's
+    coordinates: y of length p.m and Z per block in the original data scale.
+    A non-empty string it returns ends the run on that iterate, with the
+    string as the reason.  Its time counts in no solver phase.
+    """
     pre = _Presolve(p)
     q = pre.problem
     if q.blocks:
-        return pre.restore(_interior_point(q))
+        watch = None if callback is None else lambda y, z: callback(pre.full_y(y), z)
+        return pre.restore(_interior_point(q, watch))
     # Without blocks, min b'y over all y is bounded only if b' vanishes.
     bounded = np.linalg.norm(q.b) <= 1e-9 * (1.0 + np.linalg.norm(p.b))
     return pre.restore(SdpSolution(
@@ -363,7 +402,7 @@ def solve_sdp(p: SdpProblem) -> SdpSolution:
         {"reason": "no PSD blocks" if bounded else "objective not in row space"}))
 
 
-def _interior_point(p: SdpProblem) -> SdpSolution:
+def _interior_point(p: SdpProblem, callback=None) -> SdpSolution:
     """Scaled predictor-corrector path following on an equality-free problem."""
     m = p.m
     blocks = [_BlockData(blk, m) for blk in p.blocks]
@@ -405,6 +444,13 @@ def _interior_point(p: SdpProblem) -> SdpSolution:
         if not math.isfinite(mu):
             status, reason = "numerical-failure", "non-finite iterate"
             break
+        if callback is not None:
+            clock.start(None)
+            stop = callback(y, [z / bd.scale for bd, z in zip(blocks, z_mats)])
+            clock.start("metrics")
+            if stop:
+                status, reason, best = "stopped", stop, (y, z_mats, metrics)
+                break
         score = max(metrics["rel_gap_abs"], metrics["rel_dual"], metrics["rel_psd_violation"])
         if score < best_score:
             best_score = score
@@ -428,26 +474,15 @@ def _interior_point(p: SdpProblem) -> SdpSolution:
             status, reason = "infeasible", "dual objective diverging"
             break
 
-        # Nesterov-Todd scaling per block: G' Z G = Ginv S Ginv' = diag(sig).
         # Late iterates of degenerate problems can drop positive definiteness
         # to roundoff; that ends the run on the best iterate seen so far.
         try:
             clock.start("scaling")
-            factors = []
-            for s, z in zip(s_mats, z_mats):
-                ls = _chol(s)
-                lz = _chol(z)
-                u, sig, vt = svd(lz.T @ ls, check_finite=False)
-                root = np.sqrt(sig)
-                g = ls @ (vt.T / root)
-                ginv = (root[:, None] * vt) @ solve_triangular(
-                    ls, np.eye(ls.shape[0]), lower=True, check_finite=False)
-                winv = ginv.T @ ginv
-                factors.append((ls, lz, g, ginv, winv, sig))
+            factors = [_nt_scaling(s, z) for s, z in zip(s_mats, z_mats)]
 
             clock.start("schur")
             schur = np.zeros((m, m))
-            for bd, (_, _, _, _, winv, _) in zip(blocks, factors):
+            for bd, (_, _, winv, _) in zip(blocks, factors):
                 bd.schur_accumulate(winv, schur)
             schur = 0.5 * (schur + schur.T)
             clock.start("factor")
@@ -457,40 +492,50 @@ def _interior_point(p: SdpProblem) -> SdpSolution:
                 bump = 1e-12 * max(np.abs(np.diag(schur)).max(), 1.0)
                 schur_f = cho_factor(schur + bump * np.eye(m), lower=True, check_finite=False)
 
+            w_rp = [winv @ rp_k @ winv for (_, _, winv, _), rp_k in zip(factors, rp)]
+
             def newton(n_mats):
+                """dy, dS and the scaled dS~ = Ginv dS Ginv' for the target N."""
                 h = -rd
-                for bd, (_, _, _, _, winv, _), n_mat, rp_k in zip(blocks, factors, n_mats, rp):
-                    h = h + bd.adjoint(n_mat + winv @ rp_k @ winv)
+                for bd, n_mat, w_rp_k in zip(blocks, n_mats, w_rp):
+                    h = h + bd.adjoint(n_mat + w_rp_k)
                 dy = cho_solve(schur_f, h, check_finite=False)
                 ds = [bd.apply(dy) - rp_k for bd, rp_k in zip(blocks, rp)]
-                dz = [n_mat - winv @ ds_k @ winv
-                      for (_, _, _, _, winv, _), n_mat, ds_k in zip(factors, n_mats, ds)]
-                return dy, ds, dz
+                ds_t = [ginv @ ds_k @ ginv.T for (_, ginv, _, _), ds_k in zip(factors, ds)]
+                return dy, ds, ds_t
 
+            def step(ds_t, dz_t):
+                alpha_p = min(_step_to_boundary(f[3], d) for f, d in zip(factors, ds_t))
+                alpha_d = min(_step_to_boundary(f[3], d) for f, d in zip(factors, dz_t))
+                return alpha_p, alpha_d
+
+            # In the scaled space S~ = Z~ = D = diag(sig), and the linearized
+            # complementarity sym(D dZ~ + dS~ D) = rc is solved by
+            # dZ~ = T - dS~ with T = 2 rc / (sig_i + sig_j); N = Ginv' T Ginv.
             clock.start("step")
-            # Predictor: target sym(V dZ~ + dS~ V) = -V^2, whose unscaled N is -Z.
-            dy_a, ds_a, dz_a = newton([-z for z in z_mats])
-            alpha_pa = min(1.0, min(_max_step(f[0], d) for f, d in zip(factors, ds_a)))
-            alpha_da = min(1.0, min(_max_step(f[1], d) for f, d in zip(factors, dz_a)))
-            mu_aff = sum(float(np.tensordot(s + alpha_pa * ds_k, z + alpha_da * dz_k))
-                         for s, z, ds_k, dz_k in zip(s_mats, z_mats, ds_a, dz_a)) / n_total
+            # Predictor: rc = -D^2, so T = -D and N = -Z.
+            _, _, ds_ta = newton([-z for z in z_mats])
+            dz_ta = [-np.diag(f[3]) - d for f, d in zip(factors, ds_ta)]
+            alpha_pa, alpha_da = (min(1.0, a) for a in step(ds_ta, dz_ta))
+            # <S, Z> = <S~, Z~>, so the affine complementarity is read off the
+            # scaled pair.
+            mu_aff = sum(float(np.tensordot(np.diag(f[3]) + alpha_pa * ds_k,
+                                             np.diag(f[3]) + alpha_da * dz_k))
+                         for f, ds_k, dz_k in zip(factors, ds_ta, dz_ta)) / n_total
             sigma = min(1.0, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
 
             # Corrector: subtract the second-order term in the scaled space.
-            n_mats = []
-            for (_, _, g, ginv, _, sig), ds_k, dz_k in zip(factors, ds_a, dz_a):
-                ds_t = ginv @ ds_k @ ginv.T
-                dz_t = g.T @ dz_k @ g
-                cross = ds_t @ dz_t
+            t_mats = []
+            for (_, _, _, sig), ds_k, dz_k in zip(factors, ds_ta, dz_ta):
+                cross = ds_k @ dz_k
                 rc = sigma * mu * np.eye(len(sig)) - np.diag(sig * sig) - 0.5 * (cross + cross.T)
-                t_mat = 2.0 * rc / np.add.outer(sig, sig)
-                n_mats.append(ginv.T @ t_mat @ ginv)
-            dy, ds, dz = newton(n_mats)
-
-            alpha_p = min(1.0, STEP_FRACTION * min(_max_step(f[0], d)
-                                                   for f, d in zip(factors, ds)))
-            alpha_d = min(1.0, STEP_FRACTION * min(_max_step(f[1], d)
-                                                   for f, d in zip(factors, dz)))
+                t_mats.append(2.0 * rc / np.add.outer(sig, sig))
+            n_mats = [ginv.T @ t_mat @ ginv for (_, ginv, _, _), t_mat in zip(factors, t_mats)]
+            dy, ds, ds_t = newton(n_mats)
+            dz = [n_mat - winv @ ds_k @ winv
+                  for (_, _, winv, _), n_mat, ds_k in zip(factors, n_mats, ds)]
+            dz_t = [t_mat - d for t_mat, d in zip(t_mats, ds_t)]
+            alpha_p, alpha_d = (min(1.0, STEP_FRACTION * a) for a in step(ds_t, dz_t))
             history[-1].update({"alpha_p": alpha_p, "alpha_d": alpha_d, "sigma": sigma})
 
             y = y + alpha_p * dy
@@ -511,7 +556,7 @@ def _interior_point(p: SdpProblem) -> SdpSolution:
 
     clock.start(None)
     y_best, z_best, met = best if best is not None else (y, z_mats, metrics)
-    if status == "numerical-failure" and _is_within(met, TOL_FEAS, TOL_GAP):
+    if status in ("numerical-failure", "stopped") and _is_within(met, TOL_FEAS, TOL_GAP):
         status = "optimal"
 
     # Internal pencils are the originals over bd.scale, so the dual matrix in
@@ -534,7 +579,7 @@ def _convergence_metrics(p, blocks, y, z_mats, rd) -> dict:
     for bd, z in zip(blocks, z_mats):
         dobj += float(np.tensordot(bd.c, z))
         slack = bd.apply(y) - bd.c
-        lam = eigvalsh(slack, check_finite=False)[0]
+        lam = eigvalsh(slack, subset_by_index=(0, 0), check_finite=False)[0]
         scale = 1.0 + float(np.linalg.norm(slack))
         psd_viol = max(psd_viol, max(0.0, -lam) / scale)
     gap = pobj - dobj

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky, eigvalsh, solve_triangular
 
 from frameopt.analysis import ReducedSystem
 from frameopt.model import (
@@ -132,6 +133,18 @@ def substitute_y0(problem) -> SdpProblem:
         blocks.append(SdpBlock(blk.n, blk.c - a0, blk.var[keep] - 1,
                                blk.row[keep], blk.col[keep], blk.val[keep]))
     return SdpProblem(problem.b[1:], blocks)
+
+
+def cholesky_step(x: np.ndarray, delta: np.ndarray) -> float:
+    """Largest t with X + t*Delta still PSD, from X = L L' and the full
+    spectrum of L^-1 Delta L^-T: the reference for the solver's step length."""
+    lower = cholesky(x, lower=True)
+    w = solve_triangular(lower, delta, lower=True)
+    w = solve_triangular(lower, w.T, lower=True)
+    lam = eigvalsh(0.5 * (w + w.T))[0]
+    if lam >= -1e-14:
+        return np.inf
+    return -1.0 / lam
 
 
 def kkt_primal_residual(report) -> float:

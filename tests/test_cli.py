@@ -166,6 +166,9 @@ def test_certify_flat_design(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["certified"] is True
     assert report["c_lower"] == pytest.approx(107.5, rel=1e-3)
+    assert report["sdp_reason"] == "certified and flat"
+    assert report["sdp_status"] in ("optimal", "stopped")
+    assert 1 <= report["lower_iteration"] <= report["sdp_iterations"]
 
 
 def test_certify_bounds_a_starved_solve(capsys, monkeypatch):
@@ -177,6 +180,10 @@ def test_certify_bounds_a_starved_solve(capsys, monkeypatch):
     report = json.loads(capsys.readouterr().out)
     assert math.isfinite(report["c_lower"]) and report["c_lower"] <= 107.5
     assert report["certified"] is False
+    # The report says that the solve was capped.
+    assert report["sdp_status"] == "numerical-failure"
+    assert report["sdp_reason"] == "iteration limit"
+    assert report["sdp_iterations"] == report["lower_iteration"] == 1
 
 
 def test_certify_rejects_volume_violation(capsys):
@@ -254,6 +261,7 @@ def test_run_method_po_reports_orders():
     assert row["sdp_status"] == "optimal"
     assert isinstance(row["sdp_reason"], str) and row["sdp_reason"]
     assert row["sdp_iterations"] > 0
+    assert 1 <= row["lower_iteration"] <= row["sdp_iterations"]
     assert row["n_moments"] == 15  # monomials of degree <= 2 in 4 variables
     assert set(row["phase_s"]) == {"scaling", "schur", "factor", "step", "metrics"}
     assert all(t >= 0.0 for t in row["phase_s"].values())

@@ -1,11 +1,18 @@
 """Moment-hierarchy behavior: scaling, bases, relaxation blocks, certificates."""
 
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import make_cantilever, pmi_at, rng, substitute_y0
+import frameopt
+
+from conftest import make_cantilever, make_girder, pmi_at, rng, substitute_y0
 from frameopt import moments
 from frameopt.analysis import compliance
 from frameopt.model import GroundStructure
@@ -14,6 +21,7 @@ from frameopt.moments import (
     build_relaxation,
     extract_design,
     gap_certificate,
+    lower_bound,
     moment_matrix,
     moment_vector,
     monomial_basis,
@@ -140,9 +148,9 @@ def test_solve_relaxation_leaves_y0_to_the_solver(cantilever3, girder, monkeypat
     rel = build_relaxation(scale_problem(cantilever3), 1)
     seen = []
 
-    def spy(problem):
+    def spy(problem, callback):
         seen.append(problem)
-        return solve_sdp(problem)
+        return solve_sdp(problem, callback)
 
     monkeypatch.setattr(moments, "solve_sdp", spy)
     rsol = solve_relaxation(rel)
@@ -326,3 +334,91 @@ def test_hierarchy_deterministic(cantilever3):
     assert first.compliance == second.compliance
     assert np.array_equal(first.areas, second.areas)
     assert [c.lower for c in first.certificates] == [c.lower for c in second.certificates]
+
+
+def _bounds_along_path(rel, stop):
+    """Proven bound of every iterate up to `stop`, from an unstopped solve."""
+    bounds = []
+    solve_sdp(rel.problem, lambda y, z: bounds.append(lower_bound(rel, z)))
+    return bounds[:stop]
+
+
+def test_every_order_reports_its_kept_bound_and_proof(girder):
+    res = run_hierarchy(girder, r_max=2)
+    orders = res.diagnostics["orders"]
+    for cert, order in zip(res.certificates, orders):
+        rel = build_relaxation(scale_problem(girder), cert.order)
+        path = _bounds_along_path(rel, order["sdp_iterations"])
+        # The kept bound is the best one proven up to the stop, by the iterate
+        # the order names.
+        assert 1 <= order["lower_iteration"] <= order["sdp_iterations"]
+        assert cert.lower == max(path) == path[order["lower_iteration"] - 1]
+    # Order 2 proves its best bound before the iterate it stops on.
+    assert orders[1]["lower_iteration"] < orders[1]["sdp_iterations"]
+
+
+def test_kept_bound_is_at_least_the_final_iterates(cantilever3, girder):
+    for gs, r in ((cantilever3, 1), (cantilever3, 2), (girder, 1), (girder, 2)):
+        rel = build_relaxation(scale_problem(gs), r)
+        rsol = solve_relaxation(rel)
+        assert rsol.lower >= lower_bound(rel, rsol.sdp.z)
+        assert rsol.sdp.diagnostics["reason"] in ("certified and flat", "bound plateaued",
+                                                  "tolerances met")
+
+
+def test_plateau_waits_for_the_gate(monkeypatch):
+    # Girder order 1 pauses near 222.6 long before its optimum 297.3; the
+    # plateau test counts only once the bound lies within PLATEAU_GATE of b'y.
+    rel = build_relaxation(scale_problem(make_girder()), 1)
+    rsol = solve_relaxation(rel)
+    assert rsol.lower == pytest.approx(297.34, rel=1e-4)
+    obj = float(rel.problem.b @ rsol.y)
+    assert abs(obj - rsol.lower) < moments.PLATEAU_GATE * (1 + abs(obj) + abs(rsol.lower))
+    assert rsol.sdp.diagnostics["history"][-1]["rel_gap_abs"] < 1e-3
+    monkeypatch.setattr(moments, "PLATEAU_GATE", math.inf)
+    ungated = solve_relaxation(rel)
+    assert ungated.sdp.diagnostics["reason"] == "bound plateaued"
+    assert ungated.sdp.iterations < rsol.sdp.iterations and ungated.lower < 230.0
+
+
+def test_certified_orders_stop_flat(cantilever3):
+    # An order stops on certification only with a flat moment matrix, so the
+    # rank report still means what it says.
+    rel = build_relaxation(scale_problem(cantilever3), 2)
+    rsol = solve_relaxation(rel, upper=CANT3_COMPLIANCE)
+    assert rsol.sdp.diagnostics["reason"] == "certified and flat"
+    assert rank_certificate(rel, rsol.y).flat
+    assert gap_certificate(rsol.lower, CANT3_COMPLIANCE).certified
+
+
+ORDER_ENDS = """
+import json
+from frameopt.moments import run_hierarchy
+from frameopt.problems import benchmark_case
+ends = {}
+for name in ("cantilever-3", "girder"):
+    res = run_hierarchy(benchmark_case(name).build(), r_max=2)
+    ends[name] = [(o["sdp_iterations"], c.lower)
+                  for o, c in zip(res.diagnostics["orders"], res.certificates)]
+print(json.dumps(ends))
+"""
+
+
+def test_orders_end_alike_at_one_and_two_blas_threads():
+    # Where an order ends is decided by its bound, not by roundoff: the
+    # threaded BLAS parts girder order 2's path from the one-thread path
+    # within about 20 iterations, yet both stop on the same iterate.
+    src = str(Path(frameopt.__file__).resolve().parent.parent)
+    ends = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        run = subprocess.run([sys.executable, "-c", ORDER_ENDS], env=env, check=True,
+                             capture_output=True, text=True, timeout=600)
+        ends.append(json.loads(run.stdout))
+    assert ends[0].keys() == ends[1].keys() == {"cantilever-3", "girder"}
+    for name, orders in ends[0].items():
+        assert len(orders) == len(ends[1][name]) == 2
+        for (it1, low1), (it2, low2) in zip(orders, ends[1][name]):
+            assert it1 == it2, name
+            assert abs(low1 - low2) <= 2e-6 * abs(low1), name

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from frameopt import sdp
 from frameopt.moments import build_relaxation, scale_problem
 from frameopt.problems import cantilever
 from frameopt.sdp import (
@@ -11,11 +12,22 @@ from frameopt.sdp import (
     SdpProblem,
     _BlockData,
     _Presolve,
+    _nt_scaling,
+    _step_to_boundary,
     check_kkt,
     solve_sdp,
 )
 
-from conftest import block_from_matrices, kkt_primal_residual, rng
+from conftest import block_from_matrices, cholesky_step, kkt_primal_residual, rng
+
+# Step lengths from the scaled pair against the Cholesky reference.  The
+# solver moves STEP_FRACTION = 0.98 of the way to the boundary, so a relative
+# error below 2% cannot carry an iterate out of the cone; 1e-3 keeps a
+# twentyfold margin inside that.  Both formulas are congruences of an
+# S or Z whose condition number reaches 1e14 here, so neither can promise
+# much more than u * 1e14 ~ 1e-2 in the worst case; 1.5e-4 is what the
+# random pairs below reach.
+STEP_RTOL = 1e-3
 
 
 def lp_bound_problem():
@@ -333,3 +345,102 @@ def test_solver_reports_phase_times_and_schur_flops():
     assert set(phases) == {"scaling", "schur", "factor", "step", "metrics"}
     assert all(t >= 0.0 for t in phases.values()) and phases["schur"] > 0.0
     assert sol.diagnostics["schur_gflop"] > 0.0
+
+
+def test_callback_sees_every_iterate_and_can_stop():
+    p, _ = constructed_problem(rng(7), with_equalities=True)
+    full = solve_sdp(p)
+    seen = []
+
+    def watch(y, z):
+        seen.append((y.copy(), [zk.copy() for zk in z]))
+        return None
+
+    quiet = solve_sdp(p, watch)
+    # A callback that never stops leaves the path as it was.
+    assert len(seen) == quiet.iterations == full.iterations
+    assert np.array_equal(quiet.y, full.y) and quiet.status == full.status
+    # It sees y in the caller's coordinates, equalities included.
+    assert all(y.shape == (p.m,) for y, _ in seen)
+    assert np.allclose(p.e @ seen[-1][0], p.d, rtol=0.0, atol=1e-12)
+
+    seen.clear()
+    sol = solve_sdp(p, lambda y, z: watch(y, z) or ("enough" if len(seen) == 5 else None))
+    assert sol.iterations == 5 and sol.status == "stopped"
+    assert sol.diagnostics["reason"] == "enough"
+    # The run ends on the iterate the callback saw last.
+    y, z = seen[-1]
+    assert np.array_equal(sol.y, y)
+    assert all(np.array_equal(a, b) for a, b in zip(sol.z, z))
+
+
+# -- step lengths -----------------------------------------------------------------
+
+def nt_pair(gen, n, lo, hi):
+    """PD pair S = G D G', Z = G^-T D G^-1 with D log-uniform on [lo, hi]."""
+    q, _ = np.linalg.qr(gen.normal(size=(n, n)))
+    g = q * np.exp(gen.uniform(-1.0, 1.0, n))
+    ginv = np.linalg.inv(g)
+    d = np.diag(np.exp(gen.uniform(np.log(lo), np.log(hi), n)))
+    s, z = g @ d @ g.T, ginv.T @ d @ ginv
+    return 0.5 * (s + s.T), 0.5 * (z + z.T)
+
+
+def assert_steps_match(s, z, ds_t):
+    """The scaled-pair step of ds_t, read as a primal and as a dual scaled
+    direction, against the Cholesky step of the unscaled direction."""
+    g, ginv, _, sig = _nt_scaling(s, z)
+    got = _step_to_boundary(sig, ds_t)
+    for x, delta in ((s, g @ ds_t @ g.T), (z, ginv.T @ ds_t @ ginv)):
+        want = cholesky_step(x, delta)
+        assert got == want or abs(got - want) <= STEP_RTOL * want, (got, want)
+
+
+def test_step_matches_cholesky_on_spread_pairs():
+    gen = rng(41)
+    for _ in range(200):
+        n = int(gen.integers(1, 30))
+        s, z = nt_pair(gen, n, 1e-12, 1e2)
+        sig = _nt_scaling(s, z)[3]
+        # A direction of the iterate's own size in the scaled norm.
+        e = gen.normal(size=(n, n))
+        root = np.sqrt(sig)
+        assert_steps_match(s, z, (e + e.T) / np.sqrt(n) * np.outer(root, root))
+
+
+def test_step_along_psd_directions_is_unbounded():
+    gen = rng(43)
+    for n in (1, 4, 17):
+        s, z = nt_pair(gen, n, 1e-12, 1e2)
+        g, ginv, _, sig = _nt_scaling(s, z)
+        q = gen.normal(size=(n, n))
+        p = q @ q.T + np.eye(n)
+        root = np.sqrt(sig)
+        for ds_t in (np.zeros((n, n)), p * np.outer(root, root)):
+            assert _step_to_boundary(sig, ds_t) == np.inf
+            assert cholesky_step(s, g @ ds_t @ g.T) == np.inf
+            assert cholesky_step(z, ginv.T @ ds_t @ ginv) == np.inf
+
+
+def test_step_matches_cholesky_on_solver_iterates(monkeypatch):
+    # Every scaled direction of a cantilever-3 order-2 solve, at the iterate
+    # it was taken from.
+    pairs, steps = {}, []
+
+    def nt_spy(s, z):
+        out = _nt_scaling(s, z)
+        pairs[id(out[3])] = (s, z, out[3])
+        return out
+
+    def step_spy(sig, delta):
+        steps.append((pairs[id(sig)][:2], delta))
+        return _step_to_boundary(sig, delta)
+
+    monkeypatch.setattr(sdp, "_nt_scaling", nt_spy)
+    monkeypatch.setattr(sdp, "_step_to_boundary", step_spy)
+    problem = build_relaxation(scale_problem(cantilever(3)), 2).problem
+    sol = solve_sdp(problem)
+    # Predictor and corrector, primal and dual, per block and step taken.
+    assert len(steps) == 4 * (sol.iterations - 1) * len(problem.blocks)
+    for (s, z), delta in steps:
+        assert_steps_match(s, z, delta)
