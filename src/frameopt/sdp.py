@@ -230,6 +230,7 @@ class _BlockData:
         self.c = blk.c / self.scale
         pos = row * n + col
         self.op = scipy.sparse.csr_matrix((val, (var, pos)), shape=(m, n * n))
+        self.op_t = self.op.T.tocsr()
         upper = row <= col
         self.upper, upper_idx = np.unique(pos[upper], return_inverse=True)
         self.op_upper = scipy.sparse.csr_matrix(
@@ -258,7 +259,7 @@ class _BlockData:
 
     def apply(self, y: np.ndarray) -> np.ndarray:
         """A(y) as a dense symmetric matrix (scaled data)."""
-        return np.asarray(self.op.T @ y).reshape(self.n, self.n)
+        return np.asarray(self.op_t @ y).reshape(self.n, self.n)
 
     def adjoint(self, z: np.ndarray) -> np.ndarray:
         """Vector of <A_i, Z> for all i (scaled data)."""
