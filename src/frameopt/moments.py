@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -209,6 +210,18 @@ def scale_problem(gs: GroundStructure) -> ScaledProblem:
                          objective, scalar, pmi, size)
 
 
+@dataclass(frozen=True)
+class _BoundTerms:
+    """Per block: entries weighted 1 on the diagonal and 2 off it, and
+    sum_alpha |tr A_alpha(k)|; the number of terms summed into each r_alpha;
+    gamma_n of lower_bound's longest sum."""
+
+    weighted: list[np.ndarray]
+    traces: list[float]
+    count: np.ndarray
+    gamma: float
+
+
 @dataclass
 class Relaxation:
     """Order-r moment relaxation assembled as a dual-form SDP."""
@@ -224,6 +237,19 @@ class Relaxation:
     @property
     def n_moments(self) -> int:
         return len(self.y_basis)
+
+    @cached_property
+    def bound_terms(self) -> _BoundTerms:
+        """The parts of lower_bound that do not depend on Z, computed once."""
+        p, u = self.problem, 2.0 ** -53
+        count, weighted, traces = len(p.blocks) + 1.0, [], []
+        for blk in p.blocks:
+            diag = blk.row == blk.col
+            weighted.append(np.where(diag, 1.0, 2.0) * blk.val)
+            count = count + np.bincount(blk.var, minlength=p.m)
+            traces.append(np.abs(np.bincount(blk.var[diag], blk.val[diag], minlength=p.m)).sum())
+        gamma = 2.0 * u * (p.m + sum(blk.var.size + 1 for blk in p.blocks))
+        return _BoundTerms(weighted, traces, count, gamma)
 
 
 def build_relaxation(sp: ScaledProblem, r: int) -> Relaxation:
@@ -376,20 +402,16 @@ def lower_bound(rel: Relaxation, z: list[np.ndarray]) -> float:
     gamma_n <= 2 n u (Higham, Accuracy and Stability, 3.1) on each sum of n
     terms, and gamma_n ||Z_k||_F on lambda_min of an n x n Z_k.
     """
-    p, u = rel.problem, 2.0 ** -53
-    resid, size, count, eig = p.b.copy(), np.abs(p.b), len(p.blocks) + 1.0, 0.0
-    gamma = 2.0 * u * (p.m + sum(blk.var.size + 1 for blk in p.blocks))
-    for blk, zk in zip(p.blocks, z):
-        diag = blk.row == blk.col
-        term = np.where(diag, 1.0, 2.0) * blk.val * zk[blk.row, blk.col]
+    p, u, terms = rel.problem, 2.0 ** -53, rel.bound_terms
+    resid, size, eig, gamma = p.b.copy(), np.abs(p.b), 0.0, terms.gamma
+    for blk, weighted, trace, zk in zip(p.blocks, terms.weighted, terms.traces, z):
+        term = weighted * zk[blk.row, blk.col]
         resid -= np.bincount(blk.var, term, minlength=p.m)
         size += np.bincount(blk.var, np.abs(term), minlength=p.m)
-        count = count + np.bincount(blk.var, minlength=p.m)
-        trace = np.abs(np.bincount(blk.var[diag], blk.val[diag], minlength=p.m)).sum()
         lam = eigvalsh(zk, subset_by_index=(0, 0))[0] - 2.0 * u * blk.n * np.linalg.norm(zk)
         eig += min(0.0, lam) * trace * (1.0 + gamma)
     free = float(np.abs(resid[1:]).sum())
-    slack = 2.0 * u * float(count @ size) + gamma * (abs(resid[0]) + free - eig)
+    slack = 2.0 * u * float(terms.count @ size) + gamma * (abs(resid[0]) + free - eig)
     return float(resid[0] - free + eig - slack)
 
 
