@@ -38,7 +38,6 @@ from functools import cached_property
 from itertools import combinations_with_replacement
 
 import numpy as np
-from scipy.linalg import eigvalsh
 
 from frameopt.analysis import (
     DanglingLoadError,
@@ -47,7 +46,7 @@ from frameopt.analysis import (
     uniform_upper_bound,
 )
 from frameopt.model import GroundStructure, ModelError
-from frameopt.sdp import SdpBlock, SdpProblem, SdpSolution, solve_sdp
+from frameopt.sdp import SdpBlock, SdpProblem, SdpSolution, lowest_eigs, solve_sdp
 
 BASIS_LIMIT = 10 ** 6   # refuse monomial bases beyond this size
 RANK_TOL = 1e-6         # relative singular-value cutoff for numerical rank
@@ -214,12 +213,13 @@ def scale_problem(gs: GroundStructure) -> ScaledProblem:
 class _BoundTerms:
     """Per block: entries weighted 1 on the diagonal and 2 off it, and
     sum_alpha |tr A_alpha(k)|; the number of terms summed into each r_alpha;
-    gamma_n of lower_bound's longest sum."""
+    gamma_n of lower_bound's longest sum; the blocks grouped by size."""
 
     weighted: list[np.ndarray]
     traces: list[float]
     count: np.ndarray
     gamma: float
+    groups: list[list[int]]
 
 
 @dataclass
@@ -249,7 +249,9 @@ class Relaxation:
             count = count + np.bincount(blk.var, minlength=p.m)
             traces.append(np.abs(np.bincount(blk.var[diag], blk.val[diag], minlength=p.m)).sum())
         gamma = 2.0 * u * (p.m + sum(blk.var.size + 1 for blk in p.blocks))
-        return _BoundTerms(weighted, traces, count, gamma)
+        groups = [[k for k, blk in enumerate(p.blocks) if blk.n == n]
+                  for n in sorted({blk.n for blk in p.blocks})]
+        return _BoundTerms(weighted, traces, count, gamma, groups)
 
 
 def build_relaxation(sp: ScaledProblem, r: int) -> Relaxation:
@@ -404,11 +406,14 @@ def lower_bound(rel: Relaxation, z: list[np.ndarray]) -> float:
     """
     p, u, terms = rel.problem, 2.0 ** -53, rel.bound_terms
     resid, size, eig, gamma = p.b.copy(), np.abs(p.b), 0.0, terms.gamma
-    for blk, weighted, trace, zk in zip(p.blocks, terms.weighted, terms.traces, z):
+    lam_min = np.empty(len(z))
+    for group in terms.groups:
+        lam_min[group] = lowest_eigs(np.array([z[k] for k in group]))
+    for blk, weighted, trace, zk, lam in zip(p.blocks, terms.weighted, terms.traces, z, lam_min):
         term = weighted * zk[blk.row, blk.col]
         resid -= np.bincount(blk.var, term, minlength=p.m)
         size += np.bincount(blk.var, np.abs(term), minlength=p.m)
-        lam = eigvalsh(zk, subset_by_index=(0, 0))[0] - 2.0 * u * blk.n * np.linalg.norm(zk)
+        lam = lam - 2.0 * u * blk.n * np.linalg.norm(zk)
         eig += min(0.0, lam) * trace * (1.0 + gamma)
     free = float(np.abs(resid[1:]).sum())
     slack = 2.0 * u * float(terms.count @ size) + gamma * (abs(resid[0]) + free - eig)

@@ -13,7 +13,7 @@ from frameopt.sdp import (
     _BlockData,
     _Presolve,
     _nt_scaling,
-    _step_to_boundary,
+    _steps_to_boundary,
     check_kkt,
     solve_sdp,
 )
@@ -28,6 +28,10 @@ from conftest import block_from_matrices, cholesky_step, kkt_primal_residual, rn
 # much more than u * 1e14 ~ 1e-2 in the worst case; 1.5e-4 is what the
 # random pairs below reach.
 STEP_RTOL = 1e-3
+# G'ZG = Ginv S Ginv' = diag(sig), entrywise, against the largest sig.  The
+# spread pairs below reach 4.3e-12; a member mixed up with another of its
+# stack would be off by order one.
+SCALING_RTOL = 1e-10
 
 
 def lp_bound_problem():
@@ -374,6 +378,22 @@ def test_callback_sees_every_iterate_and_can_stop():
     assert all(np.array_equal(a, b) for a, b in zip(sol.z, z))
 
 
+def test_block_order_leaves_the_path_unchanged():
+    # The solver stacks blocks by size whatever order the caller gives them
+    # in: with the PMI and moment blocks moved between the five equal-size
+    # localizers, the path is the same, and Z comes back in the caller's order.
+    p = build_relaxation(scale_problem(cantilever(3)), 2).problem
+    sizes = [blk.n for blk in p.blocks]
+    assert sizes == [15, 5, 5, 5, 5, 5, 50]
+    order = [1, 2, 6, 3, 0, 4, 5]
+    moved = solve_sdp(SdpProblem(p.b, [p.blocks[k] for k in order], p.e, p.d))
+    base = solve_sdp(p)
+    assert moved.iterations == base.iterations
+    assert np.array_equal(moved.y, base.y)
+    assert [z.shape[0] for z in moved.z] == [sizes[k] for k in order]
+    assert all(np.array_equal(z, base.z[k]) for z, k in zip(moved.z, order))
+
+
 # -- step lengths -----------------------------------------------------------------
 
 def nt_pair(gen, n, lo, hi):
@@ -387,39 +407,61 @@ def nt_pair(gen, n, lo, hi):
 
 
 def assert_steps_match(s, z, ds_t):
-    """The scaled-pair step of ds_t, read as a primal and as a dual scaled
-    direction, against the Cholesky step of the unscaled direction."""
+    """The scaled-pair step of each member of the stack ds_t, read as a primal
+    and as a dual scaled direction, against the Cholesky step of the
+    unscaled direction."""
     g, ginv, _, sig = _nt_scaling(s, z)
-    got = _step_to_boundary(sig, ds_t)
-    for x, delta in ((s, g @ ds_t @ g.T), (z, ginv.T @ ds_t @ ginv)):
-        want = cholesky_step(x, delta)
-        assert got == want or abs(got - want) <= STEP_RTOL * want, (got, want)
+    steps = _steps_to_boundary(sig, ds_t)
+    assert steps.shape == (len(s),)
+    for j, got in enumerate(steps):
+        for x, delta in ((s[j], g[j] @ ds_t[j] @ g[j].T), (z[j], ginv[j].T @ ds_t[j] @ ginv[j])):
+            want = cholesky_step(x, delta)
+            assert got == want or abs(got - want) <= STEP_RTOL * want, (j, got, want)
+
+
+def scaled_direction(gen, sig):
+    """A random direction of the iterate's own size in the scaled norm."""
+    n = sig.size
+    e = gen.normal(size=(n, n))
+    root = np.sqrt(sig)
+    return (e + e.T) / np.sqrt(n) * np.outer(root, root)
 
 
 def test_step_matches_cholesky_on_spread_pairs():
     gen = rng(41)
     for _ in range(200):
         n = int(gen.integers(1, 30))
-        s, z = nt_pair(gen, n, 1e-12, 1e2)
-        sig = _nt_scaling(s, z)[3]
-        # A direction of the iterate's own size in the scaled norm.
-        e = gen.normal(size=(n, n))
-        root = np.sqrt(sig)
-        assert_steps_match(s, z, (e + e.T) / np.sqrt(n) * np.outer(root, root))
+        s, z = (x[None] for x in nt_pair(gen, n, 1e-12, 1e2))
+        sig = _nt_scaling(s, z)[3][0]
+        assert_steps_match(s, z, scaled_direction(gen, sig)[None])
+
+
+def test_stacked_scaling_and_steps_on_spread_pairs():
+    # Pairs of one size and very different spreads share one stack, 1 x 1
+    # members included; each member is scaled and stepped as if alone.
+    gen = rng(47)
+    for n in (1, 2, 5, 9, 17):
+        pairs = [nt_pair(gen, n, 1e-12, 1e2) for _ in range(7)]
+        s, z = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+        g, ginv, _, sig = _nt_scaling(s, z)
+        for j in range(len(pairs)):
+            for scaled in (g[j].T @ z[j] @ g[j], ginv[j] @ s[j] @ ginv[j].T):
+                assert np.abs(scaled - np.diag(sig[j])).max() <= SCALING_RTOL * sig[j].max()
+        assert_steps_match(s, z, np.array([scaled_direction(gen, sig_j) for sig_j in sig]))
 
 
 def test_step_along_psd_directions_is_unbounded():
     gen = rng(43)
     for n in (1, 4, 17):
-        s, z = nt_pair(gen, n, 1e-12, 1e2)
+        s, z = (np.array(x) for x in zip(*(nt_pair(gen, n, 1e-12, 1e2) for _ in range(3))))
         g, ginv, _, sig = _nt_scaling(s, z)
         q = gen.normal(size=(n, n))
         p = q @ q.T + np.eye(n)
-        root = np.sqrt(sig)
-        for ds_t in (np.zeros((n, n)), p * np.outer(root, root)):
-            assert _step_to_boundary(sig, ds_t) == np.inf
-            assert cholesky_step(s, g @ ds_t @ g.T) == np.inf
-            assert cholesky_step(z, ginv.T @ ds_t @ ginv) == np.inf
+        for ds_t in (np.zeros((3, n, n)), p * sig[:, :, None] ** 0.5 * sig[:, None, :] ** 0.5):
+            assert np.all(_steps_to_boundary(sig, ds_t) == np.inf)
+            for j in range(3):
+                assert cholesky_step(s[j], g[j] @ ds_t[j] @ g[j].T) == np.inf
+                assert cholesky_step(z[j], ginv[j].T @ ds_t[j] @ ginv[j]) == np.inf
 
 
 def test_step_matches_cholesky_on_solver_iterates(monkeypatch):
@@ -434,13 +476,14 @@ def test_step_matches_cholesky_on_solver_iterates(monkeypatch):
 
     def step_spy(sig, delta):
         steps.append((pairs[id(sig)][:2], delta))
-        return _step_to_boundary(sig, delta)
+        return _steps_to_boundary(sig, delta)
 
     monkeypatch.setattr(sdp, "_nt_scaling", nt_spy)
-    monkeypatch.setattr(sdp, "_step_to_boundary", step_spy)
+    monkeypatch.setattr(sdp, "_steps_to_boundary", step_spy)
     problem = build_relaxation(scale_problem(cantilever(3)), 2).problem
     sol = solve_sdp(problem)
     # Predictor and corrector, primal and dual, per block and step taken.
-    assert len(steps) == 4 * (sol.iterations - 1) * len(problem.blocks)
+    assert sum(len(delta) for _, delta in steps) == \
+        4 * (sol.iterations - 1) * len(problem.blocks)
     for (s, z), delta in steps:
         assert_steps_match(s, z, delta)
