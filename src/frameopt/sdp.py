@@ -44,9 +44,10 @@ arrays.  Each dense step then runs once per stack through numpy's batched
 LAPACK and matmul: the Cholesky factors and SVD of the scaling, the products
 of both Newton solves, the corrector terms, the step-length and metrics
 eigenvalues and the iterate update; A(y) and A*(Z) of a stack are one
-sparse product each.  A moment relaxation has three stacks, whatever its
-number of localizers: the moment block, the scalar localizers and the PMI
-localizer.  Only the Schur build still runs per block.
+sparse product each.  A moment relaxation has at most three stacks,
+whatever its number of localizers: the moment block, the scalar localizers
+and the PMI localizer.  Only the Schur build and the inverse Cholesky factor
+of the scaling still run per block.
 
 An optional callback sees every iterate in the caller's coordinates and can
 end the run on it; moments stops each relaxation on its proven bound that
