@@ -51,10 +51,11 @@ of the scaling still run per block.
 
 An optional callback sees every iterate in the caller's coordinates and can
 end the run on it; moments stops each relaxation on its proven bound that
-way.  Infeasibility and unboundedness are reported through divergence
-heuristics, not certificates.  A run short of its tolerances ends
-`numerical-failure` on its best iterate; moments derives a rigorous bound
-from that Z.
+way.  A run ends on the last iterate it measured, which the callback saw
+last unless it was non-finite, with one of three statuses (SdpSolution).
+No exit detects a problem that lacks a finite optimum: moment relaxations
+have one by construction, and moments derives a rigorous bound from the Z
+any run ends on.
 """
 
 from __future__ import annotations
@@ -81,9 +82,6 @@ MAX_ITER = 200
 TOL_GAP = 1e-7          # relative duality gap for status optimal
 TOL_FEAS = 1e-8         # relative feasibility for status optimal
 STEP_FRACTION = 0.98    # fraction-to-the-boundary
-DIVERGE = 1e12          # objective blow-up threshold
-STALL_STEPS = 3         # consecutive tiny steps before giving up
-PATIENCE = 30           # iterations without a new best iterate
 
 
 def _as_symmetric(mat: np.ndarray, what: str) -> np.ndarray:
@@ -150,6 +148,8 @@ class SdpProblem:
     def __post_init__(self) -> None:
         self.b = np.atleast_1d(np.asarray(self.b, dtype=float))
         m = self.b.size
+        if not self.blocks:
+            raise SdpError("problem needs at least one PSD block")
         for blk in self.blocks:
             if blk.var.size and (blk.var.min() < 0 or blk.var.max() >= m):
                 raise SdpError("block references a variable outside 0 .. len(b) - 1")
@@ -173,6 +173,18 @@ class SdpProblem:
 
 @dataclass
 class SdpSolution:
+    """The last iterate a run measured, in the caller's coordinates, with Z
+    per block in the original data scale.
+
+    `status` is one of
+    - `optimal`: the iterate meets TOL_FEAS and TOL_GAP (reason `tolerances met`);
+    - `stopped`: the callback ended the run; the reason is the string it returned;
+    - `numerical-failure`: the run could not go on (`lost positive definiteness`,
+      `non-finite iterate`) or reached MAX_ITER (`iteration limit`).
+    `diagnostics` holds that reason, the per-iterate history, the time per
+    phase and the Schur build's flops.
+    """
+
     y: np.ndarray
     nu: np.ndarray
     z: list[np.ndarray]
@@ -486,16 +498,8 @@ def solve_sdp(p: SdpProblem, callback=None) -> SdpSolution:
     string as the reason.  Its time counts in no solver phase.
     """
     pre = _Presolve(p)
-    q = pre.problem
-    if q.blocks:
-        watch = None if callback is None else lambda y, z: callback(pre.full_y(y), z)
-        return pre.restore(_interior_point(q, watch))
-    # Without blocks, min b'y over all y is bounded only if b' vanishes.
-    bounded = np.linalg.norm(q.b) <= 1e-9 * (1.0 + np.linalg.norm(p.b))
-    return pre.restore(SdpSolution(
-        np.zeros(q.m), np.zeros(0), [], 0.0, 0.0, 0.0, 0.0,
-        "optimal" if bounded else "unbounded", 0,
-        {"reason": "no PSD blocks" if bounded else "objective not in row space"}))
+    watch = None if callback is None else lambda y, z: callback(pre.full_y(y), z)
+    return pre.restore(_interior_point(pre.problem, watch))
 
 
 def _interior_point(p: SdpProblem, callback=None) -> SdpSolution:
@@ -515,18 +519,11 @@ def _interior_point(p: SdpProblem, callback=None) -> SdpSolution:
     z_mats = [max(10.0, math.sqrt(st.n), b_scale) * np.tile(np.eye(st.n), (st.k, 1, 1))
               for st in stacks]
 
-    best = None
-    best_score = np.inf
     history = []
-    stall = 0
-    since_best = 0
-    status = "numerical-failure"
-    reason = "iteration limit"
-    iterations = 0
+    status, reason = "numerical-failure", "iteration limit"
     clock = _PhaseClock()
 
     for it in range(1, MAX_ITER + 1):
-        iterations = it
         clock.start("metrics")
         # Residuals of S = A(y) - C and A'(Z) = b; a full Newton step with
         # ds = A(dy) - rp etc. zeroes both.
@@ -552,33 +549,16 @@ def _interior_point(p: SdpProblem, callback=None) -> SdpSolution:
             stop = callback(y, _unstack(stacks, z_mats))
             clock.start("metrics")
             if stop:
-                status, reason, best = "stopped", stop, (y, z_mats, metrics)
-                break
-        score = max(metrics["rel_gap_abs"], metrics["rel_dual"], metrics["rel_psd_violation"])
-        if score < best_score:
-            best_score = score
-            best = (y.copy(), [z.copy() for z in z_mats], metrics)
-            since_best = 0
-        else:
-            # Degenerate problems grind to a halt with mu still shrinking;
-            # stop polishing once the best iterate stops improving.
-            since_best += 1
-            if since_best >= PATIENCE:
-                status, reason = "numerical-failure", "no further progress"
+                status, reason = "stopped", stop
                 break
         if _is_within(metrics, TOL_FEAS, TOL_GAP):
             status, reason = "optimal", "tolerances met"
             break
-        if metrics["objective"] < -DIVERGE:
-            status, reason = "unbounded", "primal objective diverging"
-            break
-        if metrics["dual_objective"] > DIVERGE or \
-                max(np.linalg.norm(z, axis=(1, 2)).max() for z in z_mats) > DIVERGE:
-            status, reason = "infeasible", "dual objective diverging"
+        if it == MAX_ITER:
             break
 
         # Late iterates of degenerate problems can drop positive definiteness
-        # to roundoff; that ends the run on the best iterate seen so far.
+        # to roundoff; that ends the run on the last iterate measured.
         try:
             clock.start("scaling")
             factors = [_nt_scaling(s, z) for s, z in zip(s_mats, z_mats)]
@@ -595,8 +575,6 @@ def _interior_point(p: SdpProblem, callback=None) -> SdpSolution:
             except LinAlgError:
                 bump = 1e-12 * max(np.abs(np.diag(schur)).max(), 1.0)
                 schur_f = cho_factor(schur + bump * np.eye(m), lower=True, check_finite=False)
-
-            w_rp = [winv @ rp_k @ winv for (_, _, winv, _), rp_k in zip(factors, rp)]
 
             def newton(n_mats):
                 """dy, dS and the scaled dS~ = Ginv dS Ginv' for the target N."""
@@ -617,6 +595,7 @@ def _interior_point(p: SdpProblem, callback=None) -> SdpSolution:
             # complementarity sym(D dZ~ + dS~ D) = rc is solved by
             # dZ~ = T - dS~ with T = 2 rc / (sig_i + sig_j); N = Ginv' T Ginv.
             clock.start("step")
+            w_rp = [winv @ rp_k @ winv for (_, _, winv, _), rp_k in zip(factors, rp)]
             diags = [_diag(f[3]) for f in factors]
             # Predictor: rc = -D^2, so T = -D and N = -Z.
             _, _, ds_ta = newton([-z for z in z_mats])
@@ -650,27 +629,14 @@ def _interior_point(p: SdpProblem, callback=None) -> SdpSolution:
             status, reason = "numerical-failure", "lost positive definiteness"
             break
 
-        if max(alpha_p, alpha_d) < 1e-5:
-            stall += 1
-            if stall >= STALL_STEPS:
-                status, reason = "numerical-failure", "step lengths collapsed"
-                break
-        else:
-            stall = 0
-
     clock.start(None)
-    y_best, z_best, met = best if best is not None else (y, z_mats, metrics)
-    if status in ("numerical-failure", "stopped") and _is_within(met, TOL_FEAS, TOL_GAP):
-        status = "optimal"
-
     # Internal pencils are the originals over the block's scale, so the dual
     # matrix in original units is Z/scale.
     return SdpSolution(
-        y=y_best, nu=np.zeros(0), z=_unstack(stacks, z_best),
-        objective=met["objective"], dual_objective=met["dual_objective"],
-        gap=met["gap"], rel_gap=met["rel_gap"], status=status, iterations=iterations,
-        diagnostics={"history": history, "reason": reason, "best_score": best_score,
-                     "phase_s": clock.seconds,
+        y=y, nu=np.zeros(0), z=_unstack(stacks, z_mats),
+        objective=metrics["objective"], dual_objective=metrics["dual_objective"],
+        gap=metrics["gap"], rel_gap=metrics["rel_gap"], status=status, iterations=it,
+        diagnostics={"history": history, "reason": reason, "phase_s": clock.seconds,
                      "schur_gflop": sum(bd.flops for st in stacks for bd in st.blocks) / 1e9},
     )
 

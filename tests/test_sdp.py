@@ -152,47 +152,6 @@ def test_presolve_eliminates_general_equalities():
                                                rel=1e-6, abs=1e-13 * scale)
 
 
-def test_equalities_without_blocks():
-    e = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, -1.0]])
-    d = np.array([3.0, 1.0])
-    nu = np.array([0.5, -2.0])
-    sol = solve_sdp(SdpProblem(b=e.T @ nu, blocks=[], e=e, d=d))
-    assert sol.status == "optimal"
-    assert np.allclose(e @ sol.y, d, rtol=0.0, atol=1e-14)
-    assert np.allclose(sol.nu, nu, rtol=1e-14)
-    assert sol.objective == pytest.approx(d @ nu, rel=1e-14)
-    sol = solve_sdp(SdpProblem(b=np.array([1.0, 0.0, 0.0]), blocks=[], e=e, d=d))
-    assert sol.status == "unbounded"
-
-
-# -- statuses on degenerate inputs --------------------------------------------
-
-def test_zero_problem_trivially_optimal():
-    p = SdpProblem(b=np.zeros(2), blocks=[])
-    sol = solve_sdp(p)
-    assert sol.status == "optimal"
-    assert sol.objective == 0.0
-    report = check_kkt(p, sol)
-    assert report.equality_residual == 0.0
-    assert report.dual_residual == 0.0
-    assert report.complementarity == 0.0
-
-
-def test_infeasible_pair_of_bounds():
-    # y >= 1 together with -y >= 1 cannot hold.
-    lower = block_from_matrices(np.array([[1.0]]), [np.array([[1.0]])])
-    upper = block_from_matrices(np.array([[1.0]]), [np.array([[-1.0]])])
-    sol = solve_sdp(SdpProblem(b=np.array([1.0]), blocks=[lower, upper]))
-    assert sol.status == "infeasible"
-
-
-def test_unbounded_below():
-    # min -y s.t. y >= -1 runs away.
-    block = block_from_matrices(np.array([[-1.0]]), [np.array([[1.0]])])
-    sol = solve_sdp(SdpProblem(b=np.array([-1.0]), blocks=[block]))
-    assert sol.status == "unbounded"
-
-
 # -- invariants ----------------------------------------------------------------
 
 def test_weak_duality_identity_along_path():
@@ -251,6 +210,10 @@ def test_rejects_rank_deficient_equalities():
     with pytest.raises(SdpError, match="rank"):
         SdpProblem(b=np.array([1.0]), blocks=[block],
                    e=np.array([[1.0], [1.0]]), d=np.array([0.0, 0.0]))
+    # Without a PSD block there is nothing to path-follow.
+    with pytest.raises(SdpError, match="PSD block"):
+        SdpProblem(b=np.array([1.0, 0.0]), blocks=[],
+                   e=np.array([[1.0, 2.0]]), d=np.array([3.0]))
 
 
 def test_rejects_variable_out_of_range():
@@ -351,7 +314,15 @@ def test_solver_reports_phase_times_and_schur_flops():
     assert sol.diagnostics["schur_gflop"] > 0.0
 
 
-def test_callback_sees_every_iterate_and_can_stop():
+def assert_ends_on_last_seen(sol, seen):
+    """The run returned the iterate the callback saw last."""
+    assert sol.iterations == len(seen)
+    y, z = seen[-1]
+    assert np.array_equal(sol.y, y)
+    assert all(np.array_equal(a, b) for a, b in zip(sol.z, z))
+
+
+def test_callback_sees_every_iterate_and_can_stop(monkeypatch):
     p, _ = constructed_problem(rng(7), with_equalities=True)
     full = solve_sdp(p)
     seen = []
@@ -367,15 +338,33 @@ def test_callback_sees_every_iterate_and_can_stop():
     # It sees y in the caller's coordinates, equalities included.
     assert all(y.shape == (p.m,) for y, _ in seen)
     assert np.allclose(p.e @ seen[-1][0], p.d, rtol=0.0, atol=1e-12)
+    assert quiet.status == "optimal" and quiet.diagnostics["reason"] == "tolerances met"
+    assert_ends_on_last_seen(quiet, seen)
 
     seen.clear()
     sol = solve_sdp(p, lambda y, z: watch(y, z) or ("enough" if len(seen) == 5 else None))
     assert sol.iterations == 5 and sol.status == "stopped"
     assert sol.diagnostics["reason"] == "enough"
-    # The run ends on the iterate the callback saw last.
-    y, z = seen[-1]
-    assert np.array_equal(sol.y, y)
-    assert all(np.array_equal(a, b) for a, b in zip(sol.z, z))
+    assert_ends_on_last_seen(sol, seen)
+
+    # A moment relaxation that the solver ends on its own, short of its
+    # tolerances, ends on its last iterate too, not on an earlier one.
+    seen.clear()
+    sol = solve_sdp(build_relaxation(scale_problem(cantilever(5)), 1).problem, watch)
+    assert sol.status == "numerical-failure"
+    assert sol.diagnostics["reason"] == "lost positive definiteness"
+    assert_ends_on_last_seen(sol, seen)
+
+    # At the iteration cap the run ends on the iterate it measured last,
+    # without a step past it.
+    monkeypatch.setattr(sdp, "MAX_ITER", 5)
+    seen.clear()
+    sol = solve_sdp(p, watch)
+    assert sol.iterations == len(seen) == 5 and sol.status == "numerical-failure"
+    assert sol.diagnostics["reason"] == "iteration limit"
+    assert_ends_on_last_seen(sol, seen)
+    history = sol.diagnostics["history"]
+    assert len(history) == 5 and "alpha_p" not in history[-1] and "alpha_p" in history[-2]
 
 
 def test_block_order_leaves_the_path_unchanged():
