@@ -279,8 +279,12 @@ class FrameAssembly:
                 raise ModelError(f"element {el.id} connects node {el.node_a} to itself")
             if el.node_a not in node_index or el.node_b not in node_index:
                 raise ModelError(f"element {el.id} references an unknown node")
+            if not math.isfinite(el.young_modulus):
+                raise ModelError(f"element {el.id} has non-finite Young's modulus")
             if el.young_modulus <= 0.0:
                 raise ModelError(f"element {el.id} has non-positive Young's modulus")
+            if not math.isfinite(el.c_i):
+                raise ModelError(f"element {el.id} has non-finite section coefficient")
             if el.c_i <= 0.0:
                 raise ModelError(f"element {el.id} has non-positive section coefficient")
             na, nb = gs.nodes[node_index[el.node_a]], gs.nodes[node_index[el.node_b]]
@@ -338,14 +342,21 @@ class FrameAssembly:
             if isinstance(load, NodalForce):
                 if load.node not in node_index:
                     raise ModelError(f"force references unknown node {load.node}")
+                if not (math.isfinite(load.fx) and math.isfinite(load.fy)):
+                    raise ModelError(f"non-finite force at node {load.node}")
                 base = 3 * node_index[load.node]
                 self.f0[base] += load.fx
                 self.f0[base + 1] += load.fy
             elif isinstance(load, NodalMoment):
                 if load.node not in node_index:
                     raise ModelError(f"moment references unknown node {load.node}")
+                if not math.isfinite(load.m):
+                    raise ModelError(f"non-finite moment at node {load.node}")
                 self.f0[3 * node_index[load.node] + 2] += load.m
             elif isinstance(load, DistributedLoad):
+                if not math.isfinite(load.q):
+                    raise ModelError("non-finite distributed load on elements "
+                                     + ", ".join(map(str, load.elements)))
                 pattern = self._scheme(load.scheme)
                 for eid in load.elements:
                     if eid not in element_pos:
@@ -354,6 +365,8 @@ class FrameAssembly:
                     vec = pattern(self.lengths[k], self.cos[k], self.sin[k], load.q)
                     np.add.at(self.f0, self.dofs[k], vec)
             elif isinstance(load, SelfWeight):
+                if not (math.isfinite(load.rho) and math.isfinite(load.g)):
+                    raise ModelError("non-finite self-weight density or gravity")
                 if load.rho < 0.0:
                     raise ModelError("self-weight density must be non-negative")
                 pattern = self._scheme(load.scheme)
@@ -476,8 +489,8 @@ def validate(gs: GroundStructure) -> ValidationReport:
     structure's own assembly; ``gs.validation`` keeps the report.
     """
     errors: list[str] = []
-    if gs.volume_bound <= 0.0:
-        errors.append("volume bound must be positive")
+    if not (gs.volume_bound > 0.0 and math.isfinite(gs.volume_bound)):
+        errors.append("volume bound must be positive and finite")
     if not gs.nodes:
         errors.append("structure has no nodes")
     if not gs.elements:

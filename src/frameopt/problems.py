@@ -1,7 +1,9 @@
 """Problem-file I/O and the canonical benchmark suite.
 
-Ground structures round-trip through a small JSON document (schema below),
-checked by a validator compiled once at import.
+Ground structures round-trip through a small JSON document (schema below).
+At import the schema dict is compiled into plain Python predicates, which
+decide whether a document is valid; jsonschema walks a document only when
+that check rejects it, to word the error.
 The benchmark registry builds the reference cases programmatically and pins
 the frozen reference values their solutions are checked against; the same
 definitions are shipped as data files so the CLI has something to chew on
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from importlib import resources
 from typing import Callable
@@ -129,8 +132,109 @@ PROBLEM_SCHEMA = {
     },
 }
 
-# Compiled once.  The schema itself is checked against the 2020-12
-# meta-schema by the tests, not on every parse.
+
+def _is_integer(v) -> bool:
+    if isinstance(v, float):
+        return v.is_integer()
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, numbers.Number) and not isinstance(v, bool)
+
+
+# JSON Schema's types as Draft202012Validator checks them: 2.0 is an
+# integer, a bool is no number, and only a list is an array.
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "integer": _is_integer,
+    "number": _is_number,
+}
+
+_KEYWORDS = {"$schema", "type", "required", "properties", "additionalProperties",
+             "items", "minItems", "maxItems", "exclusiveMinimum", "oneOf", "enum",
+             "const"}
+
+
+def _compile_schema(schema: dict) -> Callable[[object], bool]:
+    """Compile a JSON schema into a predicate: is a document valid under it?
+
+    The predicate decides as ``Draft202012Validator.is_valid`` does, for the
+    keywords ``PROBLEM_SCHEMA`` uses; any other keyword, an
+    ``additionalProperties`` other than false and an ``enum`` or ``const``
+    value that is not a string raise here.  Each keyword applies only to
+    the instance types it constrains, as in JSON Schema.
+    """
+    unknown = schema.keys() - _KEYWORDS
+    if unknown:
+        raise ValueError(f"schema keywords not supported: {sorted(unknown)}")
+    checks = []
+    if "type" in schema:
+        checks.append(_TYPES[schema["type"]])
+    if "required" in schema:
+        required = frozenset(schema["required"])
+        checks.append(lambda v: not isinstance(v, dict) or required <= v.keys())
+    if "properties" in schema or "additionalProperties" in schema:
+        if schema.get("additionalProperties", False) is not False:
+            raise ValueError("only additionalProperties: false is supported")
+        closed = "additionalProperties" in schema
+        props = {key: _compile_schema(sub)
+                 for key, sub in schema.get("properties", {}).items()}
+
+        def check_properties(v):
+            if isinstance(v, dict):
+                for key, item in v.items():
+                    check = props.get(key)
+                    if check is None:
+                        if closed:
+                            return False
+                    elif not check(item):
+                        return False
+            return True
+        checks.append(check_properties)
+    if "items" in schema:
+        item_ok = _compile_schema(schema["items"])
+        checks.append(lambda v: not isinstance(v, list) or all(map(item_ok, v)))
+    if "minItems" in schema:
+        low = schema["minItems"]
+        checks.append(lambda v: not isinstance(v, list) or len(v) >= low)
+    if "maxItems" in schema:
+        high = schema["maxItems"]
+        checks.append(lambda v: not isinstance(v, list) or len(v) <= high)
+    if "exclusiveMinimum" in schema:
+        bound = schema["exclusiveMinimum"]
+        # "not v <= bound", not "v > bound": NaN passes, as in jsonschema.
+        checks.append(lambda v: not _is_number(v) or not v <= bound)
+    if "oneOf" in schema:
+        branches = [_compile_schema(sub) for sub in schema["oneOf"]]
+        checks.append(lambda v: sum(check(v) for check in branches) == 1)
+    for keyword in ("enum", "const"):
+        if keyword in schema:
+            allowed = schema["enum"] if keyword == "enum" else [schema["const"]]
+            if not all(isinstance(value, str) for value in allowed):
+                raise ValueError(f"only string {keyword} values are supported")
+            allowed = frozenset(allowed)
+            checks.append(lambda v, allowed=allowed: isinstance(v, str) and v in allowed)
+
+    if len(checks) == 1:
+        return checks[0]
+
+    def check_all(v):
+        for check in checks:
+            if not check(v):
+                return False
+        return True
+    return check_all
+
+
+# Compiled once.  A valid document is decided by the compiled predicate
+# alone; jsonschema walks a document only to word its rejection.  The
+# schema itself is checked against the 2020-12 meta-schema by the tests,
+# not on every parse.
+_is_valid_problem = _compile_schema(PROBLEM_SCHEMA)
 _VALIDATOR = jsonschema.Draft202012Validator(PROBLEM_SCHEMA)
 
 _SECTION_NAMES = {value: name for name, value in SECTION_COEFFICIENTS.items()}
@@ -182,8 +286,11 @@ def problem_from_dict(doc: dict) -> GroundStructure:
     The returned structure carries its checked assembly, so the methods and
     the analysis reuse it.
     """
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
-    if error is not None:
+    if not _is_valid_problem(doc):
+        error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
+        if error is None:
+            raise RuntimeError("the compiled problem check rejected a document "
+                               "that jsonschema accepts")
         path = "/".join(str(p) for p in error.absolute_path) or "(root)"
         raise ModelError(f"problem file invalid at {path}: {error.message}") from error
     nodes = [Node(n["id"], float(n["x"]), float(n["y"])) for n in doc["nodes"]]

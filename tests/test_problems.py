@@ -1,15 +1,25 @@
 """Problem-file round trips, shipped data files, and the benchmark registry."""
 
+import copy
+import json
 import math
+import random
+from importlib import resources
 
 import jsonschema
 import pytest
 
 from conftest import make_cantilever, make_girder, make_ten_beam
-from frameopt import model
+from frameopt import model, problems
 from frameopt.analysis import compliance
 from frameopt.cli import run_method
-from frameopt.model import FrameAssembly, ModelError, require_valid, uniform_design
+from frameopt.model import (
+    SECTION_COEFFICIENTS,
+    FrameAssembly,
+    ModelError,
+    require_valid,
+    uniform_design,
+)
 from frameopt.problems import (
     PROBLEM_SCHEMA,
     TIP_FX,
@@ -178,6 +188,11 @@ INVALID_DOCS = {
     "wrong-type": lambda d: d["nodes"][2].update(x="zero"),
     "extra-property": lambda d: d.update(material="steel"),
     "short-element": lambda d: d["elements"][2].update(nodes=[3]),
+    "bool-coordinate": lambda d: d["nodes"][1].update(x=True),
+    "fractional-id": lambda d: d["nodes"][1].update(id=2.5),
+    "no-nodes": lambda d: d.update(nodes=[]),
+    "zero-volume": lambda d: d.update(volume_bound=0),
+    "unknown-load-type": lambda d: d["loads"][0].update(type="Force"),
 }
 
 
@@ -225,3 +240,260 @@ def test_request_assembles_and_checks_once(kind, monkeypatch):
         assert result.status == "converged"
         assert result.verified_compliance is not None
     assert counts == {"assembly": 1, "check": 1}
+
+
+# -- the compiled schema check ---------------------------------------------------
+
+def _base_documents():
+    """The packaged documents and the document of every registry case."""
+    data = resources.files("frameopt") / "data"
+    docs = [json.loads(ref.read_text(encoding="utf-8"))
+            for ref in sorted(data.iterdir(), key=lambda ref: ref.name)
+            if ref.name.endswith(".json")]
+    return docs + [problem_to_dict(case.build()) for case in build_benchmarks()]
+
+
+def _sites(doc):
+    """Every (container, key) pair that holds a value of the document."""
+    sites, stack = [], [doc]
+    while stack:
+        node = stack.pop()
+        for key in (node.keys() if isinstance(node, dict) else range(len(node))):
+            sites.append((node, key))
+            if isinstance(node[key], (dict, list)):
+                stack.append(node[key])
+    return sites
+
+
+_OPTIONAL_KEYS = {"name", "young_modulus", "section", "ux", "uy", "rot",
+                  "fx", "fy", "scheme", "g"}
+_VALID_LOADS = (
+    {"type": "force", "node": 1, "fx": 0.5},
+    {"type": "moment", "node": 2, "m": -1},
+    {"type": "distributed", "elements": [1], "q": 2.0, "scheme": "lumped"},
+    {"type": "self_weight", "rho": 0.5},
+)
+_EDGE_VALUES = (True, False, None, "x", "Force", "lumped", 0, -0.0, -1, 1, 2.0,
+                2.5, math.nan, math.inf, -math.inf, [], {}, (1, 2), [1],
+                {"c_i": 1.0}, {"type": "square", "c_i": 1.0})
+
+
+def _retype_number(rng, holder, key):
+    value = holder[key]
+    if type(value) is int:
+        holder[key] = float(value)
+    elif type(value) is float and value.is_integer():
+        holder[key] = int(value)
+    else:
+        return False
+    return True
+
+
+def _scale_number(rng, holder, key):
+    if type(holder[key]) is not float:
+        return False
+    holder[key] *= rng.uniform(0.5, 2.0)
+    return True
+
+
+def _drop_optional(rng, holder, key):
+    if not (isinstance(holder, dict) and key in _OPTIONAL_KEYS):
+        return False
+    del holder[key]
+    return True
+
+
+def _flip_flag(rng, holder, key):
+    if type(holder[key]) is not bool:
+        return False
+    holder[key] = not holder[key]
+    return True
+
+
+def _duplicate_entry(rng, holder, key):
+    if not (isinstance(holder, list) and isinstance(holder[key], dict)):
+        return False
+    holder.insert(key, copy.deepcopy(holder[key]))
+    return True
+
+
+def _add_load(rng, holder, key):
+    if key != "loads" or not isinstance(holder[key], list):
+        return False
+    holder[key].append(copy.deepcopy(rng.choice(_VALID_LOADS)))
+    return True
+
+
+def _swap_section(rng, holder, key):
+    if key != "section":
+        return False
+    holder[key] = rng.choice([{"type": rng.choice(sorted(SECTION_COEFFICIENTS))},
+                              {"c_i": rng.uniform(0.1, 3.0)}])
+    return True
+
+
+def _edge_value(rng, holder, key):
+    holder[key] = copy.deepcopy(rng.choice(_EDGE_VALUES))
+    return True
+
+
+def _drop_key(rng, holder, key):
+    if not isinstance(holder, dict):
+        return False
+    del holder[key]
+    return True
+
+
+def _extra_key(rng, holder, key):
+    if not isinstance(holder[key], dict):
+        return False
+    holder[key]["extra"] = 1
+    return True
+
+
+def _list_to_tuple(rng, holder, key):
+    if not isinstance(holder[key], list):
+        return False
+    holder[key] = tuple(holder[key])
+    return True
+
+
+def _empty_list(rng, holder, key):
+    if not isinstance(holder[key], list):
+        return False
+    holder[key] = []
+    return True
+
+
+def _retype_load(rng, holder, key):
+    if key != "type":
+        return False
+    holder[key] = rng.choice(["force", "moment", "distributed", "self_weight",
+                              "Force", "square"])
+    return True
+
+
+# Edits that keep a valid document valid, and edits that mostly break it.
+_KEEPING = (_retype_number, _scale_number, _drop_optional, _flip_flag,
+            _duplicate_entry, _add_load, _swap_section)
+_BREAKING = (_edge_value, _drop_key, _extra_key, _list_to_tuple, _empty_list,
+             _retype_load)
+
+
+def _mutate(text, rng):
+    doc = json.loads(text)
+    for _ in range(rng.randint(1, 3)):
+        edits = _KEEPING if rng.random() < 0.5 else _BREAKING
+        sites = _sites(doc)
+        while not any(rng.choice(edits)(rng, *rng.choice(sites)) for _ in range(20)):
+            pass
+    return doc
+
+
+def test_compiled_check_agrees_with_jsonschema_on_mutated_documents():
+    rng = random.Random(20260)
+    bases = _base_documents()
+    # Fewer mutations of the long documents: jsonschema takes about 50 ms
+    # on the 300-element cantilever.  Every base gets at least 20.
+    weights = [1.0 / len(doc["elements"]) for doc in bases]
+    counts = [max(20, round(20_000 * w / sum(weights))) for w in weights]
+    assert sum(counts) >= 20_000
+    valid = 0
+    for base, count in zip(bases, counts):
+        assert problems._is_valid_problem(base)
+        text = json.dumps(base)
+        for _ in range(count):
+            doc = _mutate(text, rng)
+            verdict = problems._is_valid_problem(doc)
+            assert verdict == problems._VALIDATOR.is_valid(doc), doc
+            valid += verdict
+    assert sum(counts) / 5 <= valid <= sum(counts) * 4 / 5
+
+
+EDGE_DOCS = {
+    "integral-float-id": (lambda d: d["nodes"][1].update(id=2.0), True),
+    "fractional-id": (lambda d: d["nodes"][1].update(id=2.5), False),
+    "bool-coordinate": (lambda d: d["nodes"][1].update(x=True), False),
+    "nan-volume": (lambda d: d.update(volume_bound=math.nan), True),
+    "infinite-modulus": (lambda d: d["elements"][0].update(young_modulus=math.inf),
+                         True),
+    "nan-section": (lambda d: d["elements"][0].update(section={"c_i": math.nan}),
+                    True),
+    "zero-volume": (lambda d: d.update(volume_bound=0), False),
+    "negative-zero-volume": (lambda d: d.update(volume_bound=-0.0), False),
+    "two-sections": (lambda d: d["elements"][1].update(
+        section={"type": "square", "c_i": 1.0}), False),
+    "capitalised-load": (lambda d: d["loads"][0].update(type="Force"), False),
+    "tuple-nodes": (lambda d: d.update(nodes=tuple(d["nodes"])), False),
+    "tuple-element-nodes": (lambda d: d["elements"][0].update(nodes=(1, 2)), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_DOCS))
+def test_compiled_check_edge_values(name):
+    edit, expected = EDGE_DOCS[name]
+    doc = _spoil(edit)
+    assert problems._VALIDATOR.is_valid(doc) is expected
+    assert problems._is_valid_problem(doc) is expected
+
+
+@pytest.mark.parametrize("schema", [{"pattern": "x"},
+                                    {"type": "object", "additionalProperties": True},
+                                    {"enum": [1, 2]}])
+def test_compiling_an_unsupported_schema_raises(schema):
+    with pytest.raises(ValueError, match="supported"):
+        problems._compile_schema(schema)
+
+
+def test_valid_parse_does_no_jsonschema_work(monkeypatch):
+    def refuse(self, instance, _schema=None):
+        raise AssertionError("jsonschema walked a valid document")
+
+    # Patched on the class: validator instances have read-only slots.
+    monkeypatch.setattr(type(problems._VALIDATOR), "iter_errors", refuse)
+    for doc in _base_documents():
+        problem_from_dict(doc)
+
+
+def test_compiled_rejection_that_jsonschema_accepts_raises(monkeypatch):
+    monkeypatch.setattr(problems, "_is_valid_problem", lambda doc: False)
+    with pytest.raises(RuntimeError, match="compiled problem check"):
+        problem_from_dict(problem_to_dict(cantilever(3)))
+
+
+# -- non-finite numbers the schema lets through ----------------------------------
+
+NON_FINITE = {
+    "volume_bound": ("cantilever-3", lambda d, v: d.update(volume_bound=v),
+                     "volume bound must be positive and finite"),
+    "young_modulus": ("cantilever-3",
+                      lambda d, v: d["elements"][1].update(young_modulus=v),
+                      "element 2 has non-finite Young's modulus"),
+    "c_i": ("cantilever-3", lambda d, v: d["elements"][1].update(section={"c_i": v}),
+            "element 2 has non-finite section coefficient"),
+    "fx": ("cantilever-3", lambda d, v: d["loads"][0].update(fx=v),
+           "non-finite force at node 4"),
+    "fy": ("cantilever-3", lambda d, v: d["loads"][0].update(fy=v),
+           "non-finite force at node 4"),
+    "m": ("tenbeam", lambda d, v: d["loads"][1].update(m=v),
+          "non-finite moment at node 3"),
+    "q": ("girder", lambda d, v: d["loads"][0].update(q=v),
+          "non-finite distributed load on elements 1, 2, 3, 4, 5"),
+    "rho": ("girder", lambda d, v: d["loads"][1].update(rho=v),
+            "non-finite self-weight density or gravity"),
+    "g": ("girder", lambda d, v: d["loads"][1].update(g=v),
+          "non-finite self-weight density or gravity"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", sorted(NON_FINITE))
+def test_non_finite_number_rejected_by_the_model(field, value):
+    name, edit, message = NON_FINITE[field]
+    doc = problem_to_dict(BUILDERS[name]())
+    edit(doc, value)
+    # The schema lets NaN and infinity through, as jsonschema does.
+    assert problems._is_valid_problem(doc)
+    with pytest.raises(ModelError) as err:
+        problem_from_dict(doc)
+    assert str(err.value) == message
