@@ -84,7 +84,6 @@ from frameopt.problems import (
     packaged_problem,
     problem_from_dict,
     problem_to_dict,
-    save_problem,
     ten_beam,
 )
 from frameopt.render import render_svg, render_topology

@@ -164,14 +164,14 @@ def run_method(gs: GroundStructure, method: str,
             out = MethodResult(
                 method=method,
                 status=hr.status,
-                compliance=hr.compliance if math.isfinite(hr.compliance)
-                           else None,
+                compliance=hr.compliance,
                 areas=hr.areas,
                 seconds=time.perf_counter() - t0,
                 gap=None if last is None or not math.isfinite(last.gap)
                     else last.gap,
                 lower=hr.lower if math.isfinite(hr.lower) else None,
                 orders=_order_rows(hr),
+                message=_po_message(hr),
             )
         else:
             if method == "oc":
@@ -216,8 +216,18 @@ def _order_rows(hr: HierarchyResult) -> list[dict]:
                      "sdp_reason": o["reason"],
                      "sdp_iterations": o["sdp_iterations"],
                      "n_moments": o["n_moments"],
-                     "phase_s": o["phase_s"]})
+                     "phase_s": o["phase_s"],
+                     "schur_gflop": o["schur_gflop"]})
     return rows
+
+
+def _po_message(hr: HierarchyResult) -> str:
+    """The orders the hierarchy skipped, led by a note if none gave a design."""
+    notes = [f"order {o['r']} {o['status']}" for o in hr.diagnostics["orders"]
+             if o["status"].startswith("skipped")]
+    if hr.compliance is None:
+        notes.insert(0, "no order yielded a design")
+    return "; ".join(notes)
 
 
 def _verify(gs: GroundStructure, result: MethodResult) -> None:
@@ -409,7 +419,10 @@ def _cmd_certify(args) -> int:
     print(json.dumps({**cert.report(), "lower_iteration": sol.lower_iteration,
                       "sdp_status": sol.status,
                       "sdp_reason": sol.sdp.diagnostics["reason"],
-                      "sdp_iterations": sol.sdp.iterations}, indent=2))
+                      "sdp_iterations": sol.sdp.iterations,
+                      "n_moments": rel.n_moments,
+                      "phase_s": sol.sdp.diagnostics["phase_s"],
+                      "schur_gflop": sol.sdp.diagnostics["schur_gflop"]}, indent=2))
     return EXIT_OK if cert.verdict != "failed" else EXIT_NUMERICAL
 
 

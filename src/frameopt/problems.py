@@ -335,12 +335,6 @@ def load_problem(path) -> GroundStructure:
     return problem_from_dict(doc)
 
 
-def save_problem(gs: GroundStructure, path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(problem_to_dict(gs), handle, indent=2)
-        handle.write("\n")
-
-
 def packaged_problem(name: str) -> GroundStructure:
     """Load one of the shipped problem files by case name."""
     # Resolved from the package itself: data/ has no __init__.py, and a

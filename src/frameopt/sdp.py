@@ -30,10 +30,10 @@ through one SVD, which renders the scaled pair jointly diagonal,
 G'ZG = Ginv S Ginv' = D.  The linearized complementarity equation then
 reduces to an elementwise divide, and each step costs one Schur-complement
 build and one dense factorization.  The build follows Fujisawa, Kojima &
-Nakata (Math. Prog. 79, 1997): each block picks, from its size and the
-entries per variable, between one product over the whole block and products
-over the distinct rows of each A_v, contracted on the positions the block
-uses (see _BlockData).  Step lengths come from the scaled pair too: the
+Nakata (Math. Prog. 79, 1997): one kernel forms W A_v W from the distinct
+rows of each A_v, batched over the variables of a block with equally many
+such rows, and contracts it on the positions the block uses (see
+_BlockData).  Step lengths come from the scaled pair too: the
 largest step along a scaled direction is -1/lambda_min(D^-1/2 Delta D^-1/2),
 one lowest eigenvalue per block and direction (Toh, COAP 21, 2002), and the
 scaled dual direction is T - dS~ by the linearized complementarity.
@@ -46,8 +46,8 @@ of both Newton solves, the corrector terms, the step-length and metrics
 eigenvalues and the iterate update; A(y) and A*(Z) of a stack are one
 sparse product each.  A moment relaxation has at most three stacks,
 whatever its number of localizers: the moment block, the scalar localizers
-and the PMI localizer.  Only the Schur build and the inverse Cholesky factor
-of the scaling still run per block.
+and the PMI localizer.  Only the Schur build, batched within each block,
+and the inverse Cholesky factor of the scaling still run per block.
 
 An optional callback sees every iterate in the caller's coordinates and can
 end the run on it; moments stops each relaxation on its proven bound that
@@ -76,7 +76,6 @@ class SdpError(ValueError):
 SYM_RTOL = 1e-12        # relative symmetry check on input matrices
 RANK_TOL = 1e-10        # QR tolerance for the full-row-rank check on E
 SCHUR_CHUNK_BYTES = 2 ** 20  # largest dense temporary of the Schur build, cache-sized
-SCHUR_CALL_FLOPS = 1e5       # overhead of one per-variable product, counted in flops
 
 MAX_ITER = 200
 TOL_GAP = 1e-7          # relative duality gap for status optimal
@@ -214,21 +213,15 @@ class _BlockData:
     The upper-triangle entries are mirrored and coalesced into `op`, whose
     row i is A_i flattened; the block's stack (_Stack) joins the `op` of its
     members for A(y) and A*(Z).  The Schur rows <A_i, W A_v W> stay per
-    block and come from one of two kernels, whichever the block's size and
-    entries per variable make cheaper:
-
-    - whole block: S (W kron W) S' in two sparse products, S the rows of
-      `op` of the supported variables; only for n small enough that the n^4
-      Kronecker entries fit in SCHUR_CHUNK_BYTES;
-    - distinct rows: W A_v W = W[:, R_v] (A_v[R_v, R_v] W[R_v, :]) over the
-      rows R_v that A_v uses, 2 n^2 |R_v| flops, gathered at the positions
-      U of the upper triangle that some entry uses, for a chunk of
-      variables, and contracted by one sparse product per chunk with `op`
-      restricted to U, off-diagonal entries counted twice.  Each variable
-      costs a few Python-level calls, priced at SCHUR_CALL_FLOPS.
-
-    W A_v W is symmetric, so neither kernel symmetrises it per variable; the
-    solver symmetrises the assembled Schur matrix once.
+    block.  W A_v W = W[:, R_v] (A_v[R_v, R_v] W[R_v, :]) over the rows R_v
+    that A_v uses costs 2 n^2 |R_v| + 2 n |R_v|^2 flops.  The variables of
+    equal r = |R_v| form batches, each a (k,) array of variables with their
+    (k, r) rows and (k, r, r) coefficients, k small enough that the (k, n, n)
+    product fits in SCHUR_CHUNK_BYTES.  A batch is two stacked matmuls,
+    gathered at the positions U of the upper triangle that some entry uses
+    and contracted by one sparse product with `op` restricted to U,
+    off-diagonal entries counted twice.  W A_v W is symmetric, so the kernel
+    does not symmetrise it; the solver symmetrises the Schur matrix once.
     """
 
     def __init__(self, blk: SdpBlock, m: int):
@@ -248,6 +241,7 @@ class _BlockData:
             col = uniq % n
             row = (uniq // n) % n
             var = uniq // (n * n)
+            del key, uniq, inverse
         norms = np.sqrt(np.bincount(var, val * val, minlength=m)) if var.size else np.zeros(m)
         self.scale = max(1.0, np.linalg.norm(blk.c), norms.max() if m else 1.0)
         val = val / self.scale
@@ -259,41 +253,37 @@ class _BlockData:
         self.op_upper = scipy.sparse.csr_matrix(
             (np.where(row < col, 2.0, 1.0)[upper] * val[upper], (var[upper], upper_idx)),
             shape=(m, self.upper.size))
+        # Free the entry-long temporaries before the batches take memory.
+        del pos, upper, upper_idx
 
-        sup = self.support = np.unique(var)
-        self.rows, self.coef = [], []
-        bounds = np.searchsorted(var, sup)
-        for lo, hi in zip(bounds, np.append(bounds[1:], var.size)):
-            rows = np.unique(row[lo:hi])
-            coef = np.zeros((rows.size, rows.size))
-            coef[np.searchsorted(rows, row[lo:hi]), np.searchsorted(rows, col[lo:hi])] = val[lo:hi]
-            self.rows.append(rows)
-            self.coef.append(coef)
-        n_rows = np.array([r.size for r in self.rows], dtype=float)
-        distinct = float(np.sum(2.0 * n * n * n_rows + 2.0 * n * n_rows ** 2)) \
+        # The distinct (variable, row) pairs list each R_v in order; A_v is
+        # symmetric, so its columns index into R_v too.
+        pairs = np.unique(var * n + row)
+        sup, start, r_v = np.unique(pairs // n, return_index=True, return_counts=True)
+        self.flops = float(np.sum(2.0 * n * n * r_v + 2.0 * n * r_v ** 2)) \
             + 2.0 * self.op_upper.nnz * sup.size
-        whole = float(n) ** 4 + 2.0 * val.size * (n * n + sup.size)
-        self.sub = None
-        self.flops = distinct
-        if 8.0 * n ** 4 <= SCHUR_CHUNK_BYTES and whole <= distinct + SCHUR_CALL_FLOPS * sup.size:
-            self.sub = self.op[sup]
-            self.flops = whole
-        self.chunk = max(1, SCHUR_CHUNK_BYTES // (8 * max(self.upper.size, 1)))
+        at = np.searchsorted(sup, var)  # each entry's variable, as an index into sup
+        at_row = np.searchsorted(pairs, var * n + row) - start[at]
+        at_col = np.searchsorted(pairs, var * n + col) - start[at]
+        r_at = r_v[at]
+        chunk = max(1, SCHUR_CHUNK_BYTES // (8 * n * n))
+        self.batches = []
+        for r in np.unique(r_v):
+            group, mine = r_v == r, r_at == r
+            vs = sup[group]
+            coef = np.zeros((vs.size, r, r))
+            coef[np.searchsorted(vs, var[mine]), at_row[mine], at_col[mine]] = val[mine]
+            rows = pairs[start[group][:, None] + np.arange(r)] % n
+            self.batches += [(vs[lo:lo + chunk], rows[lo:lo + chunk], coef[lo:lo + chunk])
+                             for lo in range(0, vs.size, chunk)]
 
     def schur_accumulate(self, winv: np.ndarray, out: np.ndarray) -> None:
-        """out[v, i] += <A_i, Winv A_v Winv> for every supported variable v."""
-        sup = self.support
-        if self.sub is not None:
-            n = self.n
-            kron = (winv[:, None, :, None] * winv[None, :, None, :]).reshape(n * n, n * n)
-            out[np.ix_(sup, sup)] += self.sub @ (self.sub @ kron).T
-            return
-        g = np.empty((self.upper.size, self.chunk))
-        for lo in range(0, sup.size, self.chunk):
-            hi = min(lo + self.chunk, sup.size)
-            for j, (rows, coef) in enumerate(zip(self.rows[lo:hi], self.coef[lo:hi])):
-                g[:, j] = (winv[:, rows] @ (coef @ winv[rows, :])).ravel()[self.upper]
-            out[sup[lo:hi]] += (self.op_upper @ g[:, :hi - lo]).T
+        """out[v, i] += <A_i, Winv A_v Winv> for every variable v of the block."""
+        for vs, rows, coef in self.batches:
+            left = winv[:, rows].transpose(1, 0, 2)
+            right = coef @ winv[rows, :]
+            g = (left @ right).reshape(vs.size, self.n * self.n)[:, self.upper]
+            out[vs] += (self.op_upper @ g.T).T
 
 
 class _Stack:

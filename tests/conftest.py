@@ -5,6 +5,7 @@ so the shipped benchmark definitions can be cross-checked against them.
 """
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -26,6 +27,7 @@ from frameopt.model import (
     Support,
     band_rows,
 )
+from frameopt.problems import problem_to_dict
 from frameopt.sdp import SdpBlock, SdpProblem
 
 TIP_FX = math.cos(math.pi / 6.0)
@@ -98,6 +100,13 @@ def closed_form_tip_compliance(a: float, length: float = 1.0) -> float:
 
 def rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def save_problem(gs: GroundStructure, path) -> None:
+    """Write a structure as a problem file that load_problem reads back."""
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(problem_to_dict(gs), handle, indent=2)
+        handle.write("\n")
 
 
 def block_from_matrices(c, mats) -> SdpBlock:

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from frameopt import cli, sdp
+from frameopt import cli, moments, sdp
 from frameopt.cli import (
     EXIT_INFEASIBLE,
     EXIT_NUMERICAL,
@@ -22,7 +22,11 @@ from frameopt.cli import (
 )
 from frameopt.local import OcConfig
 from frameopt.model import ModelError
-from frameopt.problems import benchmark_case, cantilever, save_problem
+from frameopt.moments import build_relaxation, scale_problem
+from frameopt.problems import benchmark_case, cantilever
+from frameopt.sdp import _BlockData, _Presolve
+
+from conftest import save_problem
 
 CANT3_AREAS = "0.141767,0.102424,0.055809"
 
@@ -169,6 +173,9 @@ def test_certify_flat_design(capsys):
     assert report["sdp_reason"] == "certified and flat"
     assert report["sdp_status"] == "stopped"
     assert 1 <= report["lower_iteration"] <= report["sdp_iterations"]
+    assert report["n_moments"] == 6  # monomials of degree <= 2 in 2 variables
+    assert set(report["phase_s"]) == {"scaling", "schur", "factor", "step", "metrics"}
+    assert report["schur_gflop"] > 0.0
 
 
 def test_certify_bounds_a_starved_solve(capsys, monkeypatch):
@@ -271,6 +278,29 @@ def test_run_method_po_reports_orders():
     assert report["reason"] is None
     assert report["phase_s"] is None
     assert report["orders"][0]["phase_s"] == row["phase_s"]
+    p = _Presolve(build_relaxation(scale_problem(gs), 1).problem).problem
+    flops = sum(_BlockData(blk, p.m).flops for blk in p.blocks)
+    assert row["schur_gflop"] == pytest.approx(flops / 1e9, rel=1e-12)
+    assert result.message == ""
+
+
+def test_run_method_po_without_a_design_fails(monkeypatch, capsys):
+    # The order-1 basis of cantilever-3 has C(6, 2) = 15 monomials.
+    monkeypatch.setattr(moments, "BASIS_LIMIT", 10)
+    result = run_method(cantilever(3), "po", SolveSettings(order_max=2))
+    assert result.status == "failed" and result.exit_code == EXIT_NUMERICAL
+    assert result.compliance is None and result.orders == []
+    assert result.message.startswith("no order yielded a design; order 1 skipped: ")
+    assert result.message.endswith("exceeds the 10 limit")
+    code = main(["optimize", "cantilever-3", "--method", "po", "--order-max", "2"])
+    assert code == EXIT_NUMERICAL
+    out, err = capsys.readouterr()
+    assert "exceeds the 10 limit" in out and "Traceback" not in out + err
+    # An order skipped after one that gave a design is named too.
+    monkeypatch.setattr(moments, "BASIS_LIMIT", 20)
+    result = run_method(cantilever(3), "po", SolveSettings(order_max=2))
+    assert result.status == "bounded" and len(result.orders) == 1
+    assert result.message.startswith("order 2 skipped: ")
 
 
 def test_run_benchmark_respects_case_methods():

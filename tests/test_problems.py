@@ -9,7 +9,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from conftest import make_cantilever, make_girder, make_ten_beam
+from conftest import make_cantilever, make_girder, make_ten_beam, save_problem
 from frameopt import model, problems
 from frameopt.analysis import compliance
 from frameopt.cli import run_method
@@ -32,7 +32,6 @@ from frameopt.problems import (
     packaged_problem,
     problem_from_dict,
     problem_to_dict,
-    save_problem,
     ten_beam,
 )
 from frameopt.render import render_svg

@@ -5,7 +5,7 @@ import pytest
 
 from frameopt import sdp
 from frameopt.moments import build_relaxation, scale_problem
-from frameopt.problems import cantilever
+from frameopt.problems import cantilever, girder
 from frameopt.sdp import (
     SdpBlock,
     SdpError,
@@ -235,16 +235,18 @@ def brute_schur(blk, m, winv):
 
 
 def kernel_results(blk, m, winv):
-    """The Schur rows from the kernel the block picks, then from the
-    distinct-row kernel in chunks of two variables."""
-    bd = _BlockData(blk, m)
-    out = np.zeros((m, m))
-    bd.schur_accumulate(winv, out)
-    yield out
-    bd.sub, bd.chunk = None, 2
-    out = np.zeros((m, m))
-    bd.schur_accumulate(winv, out)
-    yield out
+    """The Schur rows from the batches as built, then from batches of at most
+    two variables, so that every larger group of equal |R_v| splits."""
+    for chunk_bytes in (sdp.SCHUR_CHUNK_BYTES, 2 * 8 * blk.n ** 2):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sdp, "SCHUR_CHUNK_BYTES", chunk_bytes)
+            bd = _BlockData(blk, m)
+        # Each (k, n, n) product fits in SCHUR_CHUNK_BYTES, unless k = 1.
+        assert all(vs.size == 1 or 8 * vs.size * blk.n ** 2 <= chunk_bytes
+                   for vs, _, _ in bd.batches)
+        out = np.zeros((m, m))
+        bd.schur_accumulate(winv, out)
+        yield out
 
 
 def assert_schur_matches(blk, m, gen):
@@ -297,12 +299,16 @@ def test_schur_one_by_one_block():
 
 
 def test_schur_moment_relaxation_blocks():
-    p = _Presolve(build_relaxation(scale_problem(cantilever(3)), 2).problem).problem
-    kernels = {_BlockData(blk, p.m).sub is None for blk in p.blocks}
-    assert kernels == {True, False}  # both kernels are exercised
     gen = rng(31)
-    for blk in p.blocks:
-        assert_schur_matches(blk, p.m, gen)
+    for gs in (cantilever(3), cantilever(5), girder()):
+        p = _Presolve(build_relaxation(scale_problem(gs), 2).problem).problem
+        batches = [_BlockData(blk, p.m).batches for blk in p.blocks]
+        # Some block batches variables of several row counts, and some batch
+        # holds more than one variable.
+        assert max(len({rows.shape[1] for _, rows, _ in bs}) for bs in batches) > 1
+        assert max(vs.size for bs in batches for vs, _, _ in bs) > 1
+        for blk in p.blocks:
+            assert_schur_matches(blk, p.m, gen)
 
 
 def test_solver_reports_phase_times_and_schur_flops():
@@ -311,7 +317,15 @@ def test_solver_reports_phase_times_and_schur_flops():
     phases = sol.diagnostics["phase_s"]
     assert set(phases) == {"scaling", "schur", "factor", "step", "metrics"}
     assert all(t >= 0.0 for t in phases.values()) and phases["schur"] > 0.0
-    assert sol.diagnostics["schur_gflop"] > 0.0
+    # 2 n^2 r + 2 n r^2 flops per variable, r = |R_v| the rows A_v uses,
+    # plus 2 nnz of the used upper triangle per variable.
+    flops = 0.0
+    for blk in _Presolve(p).problem.blocks:
+        mats = [blk.coefficient(i) for i in np.unique(blk.var)]
+        r = np.array([np.count_nonzero(np.any(a, axis=1)) for a in mats])
+        nnz = sum(np.count_nonzero(np.triu(a)) for a in mats)
+        flops += np.sum(2.0 * blk.n ** 2 * r + 2.0 * blk.n * r ** 2) + 2.0 * nnz * len(mats)
+    assert sol.diagnostics["schur_gflop"] == pytest.approx(flops / 1e9, rel=1e-12)
 
 
 def assert_ends_on_last_seen(sol, seen):
