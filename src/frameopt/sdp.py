@@ -38,6 +38,23 @@ largest step along a scaled direction is -1/lambda_min(D^-1/2 Delta D^-1/2),
 one lowest eigenvalue per block and direction (Toh, COAP 21, 2002), and the
 scaled dual direction is T - dS~ by the linearized complementarity.
 
+The start and the step fraction follow SDPT3 (Toh, Todd & Tutuncu, Optim.
+Methods Softw. 11, 1999).  The start is S = max(10, sqrt(n), ||C||) I and
+Z = max(10, sqrt(n), n max_i (1 + |b_i|) / (1 + ||A_i||)) I per block; the
+n in Z matters on moment relaxations, whose dual optimum is large on the
+moment and PMI blocks, since a path that starts small spends its middle
+growing Z.  The corrector moves the fraction 0.9 + 0.09 min(alpha_p,
+alpha_d) of the way to the boundary, alpha_p and alpha_d being the
+predictor's step lengths: 0.9 where the predictor is blocked, up to 0.99
+where it could take a full step.  The corrector's dual direction gets one
+step of refinement on A*(dZ) = rd, so the dual residual stays at roundoff
+as Z grows.  Why the certificates hold: moments proves each order's bound
+from whatever Z the path reaches, so another path can change where an order
+stops but never whether its bound is valid.  The bound pays for the dual
+residual r = b - A*(Z) term by term (moments.lower_bound), so keeping that
+residual at roundoff is what lets a late iterate's bound come within the
+gap tolerance of the design's compliance.
+
 Blocks of equal size form a stack (_Stack), and the iteration holds S, Z,
 the residuals, the NT factors and the directions of a stack as (k, n, n)
 arrays.  Each dense step then runs once per stack through numpy's batched
@@ -80,7 +97,6 @@ SCHUR_CHUNK_BYTES = 2 ** 20  # largest dense temporary of the Schur build, cache
 MAX_ITER = 200
 TOL_GAP = 1e-7          # relative duality gap for status optimal
 TOL_FEAS = 1e-8         # relative feasibility for status optimal
-STEP_FRACTION = 0.98    # fraction-to-the-boundary
 
 
 def _as_symmetric(mat: np.ndarray, what: str) -> np.ndarray:
@@ -244,6 +260,7 @@ class _BlockData:
             del key, uniq, inverse
         norms = np.sqrt(np.bincount(var, val * val, minlength=m)) if var.size else np.zeros(m)
         self.scale = max(1.0, np.linalg.norm(blk.c), norms.max() if m else 1.0)
+        self.a_norms = norms / self.scale  # ||A_i||_F of the scaled pencil, per variable
         val = val / self.scale
         self.c = blk.c / self.scale
         pos = row * n + col
@@ -368,21 +385,20 @@ def _diag(vecs: np.ndarray) -> np.ndarray:
 
 
 def _nt_scaling(s: np.ndarray, z: np.ndarray):
-    """Nesterov-Todd factors of each PD pair of a stack: G' Z G = Ginv S Ginv' = diag(sig).
+    """Nesterov-Todd factors of each PD pair of a stack: Ginv S Ginv' = diag(sig)
+    and, with G = Ginv^-1, G' Z G = diag(sig).
 
-    Returns stacked (g, ginv, winv, sig) with winv = Ginv' Ginv = W^-1.  From
+    Returns stacked (ginv, winv, sig) with winv = Ginv' Ginv = W^-1.  From
     S = Ls Ls', Z = Lz Lz' and one SVD Lz' Ls = U diag(sig) V',
-    G = Ls V diag(sig)^-1/2 and Ginv = diag(sig)^1/2 V' Ls^-1.  numpy has no
+    Ginv = diag(sig)^1/2 V' Ls^-1; the solver never needs G itself.  numpy has no
     batched triangular solve, so Ls^-1 takes one LAPACK trtrs call per
     member, 2 us of call overhead; the batched LU solve costs 4x as much on
     a 198-row block.
     """
     ls, lz = _chol(s), _chol(z)
     _, sig, vt = np.linalg.svd(_mt(lz) @ ls)
-    root = np.sqrt(sig)
-    g = ls @ (_mt(vt) / root[:, None, :])
-    ginv = (root[:, :, None] * vt) @ _tri_inv(ls)
-    return g, ginv, _mt(ginv) @ ginv, sig
+    ginv = (np.sqrt(sig)[:, :, None] * vt) @ _tri_inv(ls)
+    return ginv, _mt(ginv) @ ginv, sig
 
 
 def _tri_inv(ls: np.ndarray) -> np.ndarray:
@@ -502,12 +518,14 @@ def _interior_point(p: SdpProblem, callback=None) -> SdpSolution:
     stacks = _stacks([_BlockData(blk, m) for blk in p.blocks])
     n_total = sum(st.k * st.n for st in stacks)
 
+    # SDPT3's start (module docstring), per block of the scaled data.
     y = np.zeros(m)
-    b_scale = 1.0 + float(np.abs(p.b).max(initial=0.0))
+    b_weight = 1.0 + np.abs(p.b)
     s_mats = [np.maximum(max(10.0, math.sqrt(st.n)), np.linalg.norm(st.c, axis=(1, 2)))
               [:, None, None] * np.eye(st.n) for st in stacks]
-    z_mats = [max(10.0, math.sqrt(st.n), b_scale) * np.tile(np.eye(st.n), (st.k, 1, 1))
-              for st in stacks]
+    z_mats = [np.array([max(10.0, math.sqrt(st.n),
+                            st.n * float(np.max(b_weight / (1.0 + bd.a_norms), initial=0.0)))
+                        for bd in st.blocks])[:, None, None] * np.eye(st.n) for st in stacks]
 
     history = []
     status, reason = "numerical-failure", "iteration limit"
@@ -555,7 +573,7 @@ def _interior_point(p: SdpProblem, callback=None) -> SdpSolution:
 
             clock.start("schur")
             schur = np.zeros((m, m))
-            for st, (_, _, winv, _) in zip(stacks, factors):
+            for st, (_, winv, _) in zip(stacks, factors):
                 for bd, winv_j in zip(st.blocks, winv):
                     bd.schur_accumulate(winv_j, schur)
             schur = 0.5 * (schur + schur.T)
@@ -563,8 +581,10 @@ def _interior_point(p: SdpProblem, callback=None) -> SdpSolution:
             try:
                 schur_f = cho_factor(schur, lower=True, check_finite=False)
             except LinAlgError:
-                bump = 1e-12 * max(np.abs(np.diag(schur)).max(), 1.0)
-                schur_f = cho_factor(schur + bump * np.eye(m), lower=True, check_finite=False)
+                # In place: schur + bump I would add three m x m temporaries
+                # to the solve's peak memory.
+                schur[np.diag_indices(m)] += 1e-12 * max(np.abs(np.diag(schur)).max(), 1.0)
+                schur_f = cho_factor(schur, lower=True, check_finite=False)
 
             def newton(n_mats):
                 """dy, dS and the scaled dS~ = Ginv dS Ginv' for the target N."""
@@ -573,20 +593,20 @@ def _interior_point(p: SdpProblem, callback=None) -> SdpSolution:
                     h = h + st.adjoint(n_mat + w_rp_k)
                 dy = cho_solve(schur_f, h, check_finite=False)
                 ds = [st.apply(dy) - rp_k for st, rp_k in zip(stacks, rp)]
-                ds_t = [ginv @ ds_k @ _mt(ginv) for (_, ginv, _, _), ds_k in zip(factors, ds)]
+                ds_t = [ginv @ ds_k @ _mt(ginv) for (ginv, _, _), ds_k in zip(factors, ds)]
                 return dy, ds, ds_t
 
             def step(ds_t, dz_t):
-                alpha_p = min(_steps_to_boundary(f[3], d).min() for f, d in zip(factors, ds_t))
-                alpha_d = min(_steps_to_boundary(f[3], d).min() for f, d in zip(factors, dz_t))
+                alpha_p = min(_steps_to_boundary(f[2], d).min() for f, d in zip(factors, ds_t))
+                alpha_d = min(_steps_to_boundary(f[2], d).min() for f, d in zip(factors, dz_t))
                 return alpha_p, alpha_d
 
             # In the scaled space S~ = Z~ = D = diag(sig), and the linearized
             # complementarity sym(D dZ~ + dS~ D) = rc is solved by
             # dZ~ = T - dS~ with T = 2 rc / (sig_i + sig_j); N = Ginv' T Ginv.
             clock.start("step")
-            w_rp = [winv @ rp_k @ winv for (_, _, winv, _), rp_k in zip(factors, rp)]
-            diags = [_diag(f[3]) for f in factors]
+            w_rp = [winv @ rp_k @ winv for (_, winv, _), rp_k in zip(factors, rp)]
+            diags = [_diag(f[2]) for f in factors]
             # Predictor: rc = -D^2, so T = -D and N = -Z.
             _, _, ds_ta = newton([-z for z in z_mats])
             dz_ta = [-d_k - d for d_k, d in zip(diags, ds_ta)]
@@ -599,17 +619,37 @@ def _interior_point(p: SdpProblem, callback=None) -> SdpSolution:
 
             # Corrector: subtract the second-order term in the scaled space.
             t_mats = []
-            for st, (_, _, _, sig), ds_k, dz_k in zip(stacks, factors, ds_ta, dz_ta):
+            for st, (_, _, sig), ds_k, dz_k in zip(stacks, factors, ds_ta, dz_ta):
                 cross = ds_k @ dz_k
                 rc = sigma * mu * np.eye(st.n) - _diag(sig * sig) - 0.5 * (cross + _mt(cross))
                 t_mats.append(2.0 * rc / (sig[:, :, None] + sig[:, None, :]))
-            n_mats = [_mt(ginv) @ t_mat @ ginv for (_, ginv, _, _), t_mat in zip(factors, t_mats)]
+            n_mats = [_mt(ginv) @ t_mat @ ginv for (ginv, _, _), t_mat in zip(factors, t_mats)]
             dy, ds, ds_t = newton(n_mats)
             dz = [n_mat - winv @ ds_k @ winv
-                  for (_, _, winv, _), n_mat, ds_k in zip(factors, n_mats, ds)]
+                  for (_, winv, _), n_mat, ds_k in zip(factors, n_mats, ds)]
             dz_t = [t_mat - d for t_mat, d in zip(t_mats, ds_t)]
-            alpha_p, alpha_d = (min(1.0, STEP_FRACTION * a) for a in step(ds_t, dz_t))
-            history[-1].update({"alpha_p": alpha_p, "alpha_d": alpha_d, "sigma": sigma})
+            # A*(dZ) = rd holds in exact arithmetic; in floating point the miss
+            # e = rd - A*(dZ) grows with Z, and so would the dual residual and
+            # the bound that moments proves from Z.  One refinement step removes
+            # it: M dy' = -e, with dS += A(dy') and dZ -= W^-1 A(dy') W^-1,
+            # which keeps the linearized complementarity.
+            miss = rd - sum(st.adjoint(dz_k) for st, dz_k in zip(stacks, dz))
+            dy_r = cho_solve(schur_f, -miss, check_finite=False)
+            dy = dy + dy_r
+            for st, (ginv, winv, _), ds_k, ds_tk, dz_k, dz_tk in zip(
+                    stacks, factors, ds, ds_t, dz, dz_t):
+                a_r = st.apply(dy_r)
+                a_rt = ginv @ a_r @ _mt(ginv)
+                ds_k += a_r
+                ds_tk += a_rt
+                dz_k -= winv @ a_r @ winv
+                dz_tk -= a_rt
+            del a_r, a_rt  # not held through the next Schur build, the peak of an iteration
+            # Fraction to the boundary from the predictor's step lengths.
+            gamma = 0.9 + 0.09 * min(alpha_pa, alpha_da)
+            alpha_p, alpha_d = (min(1.0, gamma * a) for a in step(ds_t, dz_t))
+            history[-1].update({"alpha_p": alpha_p, "alpha_d": alpha_d, "sigma": sigma,
+                                "step_fraction": gamma})
 
             y = y + alpha_p * dy
             s_mats = [_sym(s + alpha_p * d) for s, d in zip(s_mats, ds)]

@@ -28,7 +28,7 @@ from frameopt.model import (
     band_rows,
 )
 from frameopt.problems import problem_to_dict
-from frameopt.sdp import SdpBlock, SdpProblem
+from frameopt.sdp import SdpBlock, SdpProblem, _chol
 
 TIP_FX = math.cos(math.pi / 6.0)
 TIP_FY = -math.sin(math.pi / 6.0)
@@ -154,6 +154,16 @@ def cholesky_step(x: np.ndarray, delta: np.ndarray) -> float:
     if lam >= -1e-14:
         return np.inf
     return -1.0 / lam
+
+
+def nt_congruence(s: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """G = Ls V diag(sig)^-1/2 of each pair of a stack, the inverse of the
+    solver's Ginv, so that G' Z G = diag(sig): the oracle that maps scaled
+    dual directions back.  Ls, V and sig come from the same Cholesky factors
+    and SVD as in sdp._nt_scaling."""
+    ls, lz = _chol(s), _chol(z)
+    _, sig, vt = np.linalg.svd(lz.swapaxes(-1, -2) @ ls)
+    return ls @ (vt.swapaxes(-1, -2) / np.sqrt(sig)[:, None, :])
 
 
 def kkt_primal_residual(report) -> float:

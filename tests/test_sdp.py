@@ -18,15 +18,21 @@ from frameopt.sdp import (
     solve_sdp,
 )
 
-from conftest import block_from_matrices, cholesky_step, kkt_primal_residual, rng
+from conftest import (
+    block_from_matrices,
+    cholesky_step,
+    kkt_primal_residual,
+    nt_congruence,
+    rng,
+)
 
 # Step lengths from the scaled pair against the Cholesky reference.  The
-# solver moves STEP_FRACTION = 0.98 of the way to the boundary, so a relative
-# error below 2% cannot carry an iterate out of the cone; 1e-3 keeps a
-# twentyfold margin inside that.  Both formulas are congruences of an
-# S or Z whose condition number reaches 1e14 here, so neither can promise
-# much more than u * 1e14 ~ 1e-2 in the worst case; 1.5e-4 is what the
-# random pairs below reach.
+# solver moves at most 0.99 of the way to the boundary (its step fraction
+# lies in [0.9, 0.99]), so a relative error below 1% cannot carry an iterate
+# out of the cone; 1e-3 keeps a tenfold margin inside that.  Both formulas
+# are congruences of an S or Z whose condition number reaches 1e14 here, so
+# neither can promise much more than u * 1e14 ~ 1e-2 in the worst case;
+# 1.5e-4 is what the random pairs below reach.
 STEP_RTOL = 1e-3
 # G'ZG = Ginv S Ginv' = diag(sig), entrywise, against the largest sig.  The
 # spread pairs below reach 4.3e-12; a member mixed up with another of its
@@ -164,6 +170,22 @@ def test_weak_duality_identity_along_path():
         # gap - correction equals <S, Z> = mu * n exactly, hence non-negative.
         assert slack == pytest.approx(row["mu"] * n_total, rel=1e-9, abs=1e-9 * scale)
         assert slack >= -1e-9 * scale
+
+
+def test_step_fraction_stays_within_its_range():
+    # The fraction to the boundary follows the predictor's step lengths,
+    # 0.9 + 0.09 min(alpha_p, alpha_d) with both in [0, 1], and every step
+    # taken records it next to the step lengths it scaled.
+    for p in (constructed_problem(rng(11), with_equalities=True)[0],
+              build_relaxation(scale_problem(cantilever(3)), 2).problem):
+        sol = solve_sdp(p)
+        taken = sol.diagnostics["history"][:-1]
+        assert len(taken) == sol.iterations - 1 > 0
+        fractions = [row["step_fraction"] for row in taken]
+        assert all(0.9 <= f <= 0.99 for f in fractions), fractions
+        assert len(set(fractions)) > 1
+        assert all(0.0 <= row["alpha_p"] <= 1.0 and 0.0 <= row["alpha_d"] <= 1.0
+                   for row in taken)
 
 
 def test_deterministic():
@@ -364,7 +386,7 @@ def test_callback_sees_every_iterate_and_can_stop(monkeypatch):
     # A moment relaxation that the solver ends on its own, short of its
     # tolerances, ends on its last iterate too, not on an earlier one.
     seen.clear()
-    sol = solve_sdp(build_relaxation(scale_problem(cantilever(5)), 1).problem, watch)
+    sol = solve_sdp(build_relaxation(scale_problem(cantilever(7)), 2).problem, watch)
     assert sol.status == "numerical-failure"
     assert sol.diagnostics["reason"] == "lost positive definiteness"
     assert_ends_on_last_seen(sol, seen)
@@ -413,7 +435,8 @@ def assert_steps_match(s, z, ds_t):
     """The scaled-pair step of each member of the stack ds_t, read as a primal
     and as a dual scaled direction, against the Cholesky step of the
     unscaled direction."""
-    g, ginv, _, sig = _nt_scaling(s, z)
+    ginv, _, sig = _nt_scaling(s, z)
+    g = nt_congruence(s, z)
     steps = _steps_to_boundary(sig, ds_t)
     assert steps.shape == (len(s),)
     for j, got in enumerate(steps):
@@ -435,7 +458,7 @@ def test_step_matches_cholesky_on_spread_pairs():
     for _ in range(200):
         n = int(gen.integers(1, 30))
         s, z = (x[None] for x in nt_pair(gen, n, 1e-12, 1e2))
-        sig = _nt_scaling(s, z)[3][0]
+        sig = _nt_scaling(s, z)[2][0]
         assert_steps_match(s, z, scaled_direction(gen, sig)[None])
 
 
@@ -446,7 +469,8 @@ def test_stacked_scaling_and_steps_on_spread_pairs():
     for n in (1, 2, 5, 9, 17):
         pairs = [nt_pair(gen, n, 1e-12, 1e2) for _ in range(7)]
         s, z = np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
-        g, ginv, _, sig = _nt_scaling(s, z)
+        ginv, _, sig = _nt_scaling(s, z)
+        g = nt_congruence(s, z)
         for j in range(len(pairs)):
             for scaled in (g[j].T @ z[j] @ g[j], ginv[j] @ s[j] @ ginv[j].T):
                 assert np.abs(scaled - np.diag(sig[j])).max() <= SCALING_RTOL * sig[j].max()
@@ -457,7 +481,8 @@ def test_step_along_psd_directions_is_unbounded():
     gen = rng(43)
     for n in (1, 4, 17):
         s, z = (np.array(x) for x in zip(*(nt_pair(gen, n, 1e-12, 1e2) for _ in range(3))))
-        g, ginv, _, sig = _nt_scaling(s, z)
+        ginv, _, sig = _nt_scaling(s, z)
+        g = nt_congruence(s, z)
         q = gen.normal(size=(n, n))
         p = q @ q.T + np.eye(n)
         for ds_t in (np.zeros((3, n, n)), p * sig[:, :, None] ** 0.5 * sig[:, None, :] ** 0.5):
@@ -474,7 +499,7 @@ def test_step_matches_cholesky_on_solver_iterates(monkeypatch):
 
     def nt_spy(s, z):
         out = _nt_scaling(s, z)
-        pairs[id(out[3])] = (s, z, out[3])
+        pairs[id(out[2])] = (s, z, out[2])
         return out
 
     def step_spy(sig, delta):
