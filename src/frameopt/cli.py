@@ -540,6 +540,3 @@ def main(argv: list[str] | None = None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -45,7 +45,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 from scipy.linalg import eigvalsh
 from scipy.linalg.lapack import dpbsv
 
@@ -381,6 +380,8 @@ def run_nsdp_local(gs: GroundStructure, rho_growth: float = RHO_GROWTH) -> Local
     phi = NsdpPenalty(gs, a0, c0)
 
     def solve_stage(x0: np.ndarray, rho: float):
+        import scipy.optimize  # here, not at import: only nsdp needs it
+
         beta = BARRIER_INIT * RHO_INIT / rho
         # Normalize each stage so the inner solver starts with O(1) gradients;
         # a positive rescale leaves the minimizers unchanged.

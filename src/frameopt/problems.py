@@ -2,8 +2,8 @@
 
 Ground structures round-trip through a small JSON document (schema below).
 At import the schema dict is compiled into plain Python predicates, which
-decide whether a document is valid; jsonschema walks a document only when
-that check rejects it, to word the error.
+decide whether a document is valid.  jsonschema is imported, and walks a
+document, only when that check rejects it, to word the error.
 The benchmark registry builds the reference cases programmatically and pins
 the frozen reference values their solutions are checked against; the same
 definitions are shipped as data files so the CLI has something to chew on
@@ -12,14 +12,13 @@ out of the box.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
 from dataclasses import dataclass
 from importlib import resources
 from typing import Callable
-
-import jsonschema
 
 from frameopt.model import (
     CIRCLE_SECTION,
@@ -230,12 +229,21 @@ def _compile_schema(schema: dict) -> Callable[[object], bool]:
     return check_all
 
 
-# Compiled once.  A valid document is decided by the compiled predicate
-# alone; jsonschema walks a document only to word its rejection.  The
-# schema itself is checked against the 2020-12 meta-schema by the tests,
-# not on every parse.
+# Compiled once, at import, so an unsupported keyword raises here.  A valid
+# document is decided by the compiled predicate alone; jsonschema is
+# imported, and its validator built, only to word a rejection.  The schema
+# itself is checked against the 2020-12 meta-schema by the tests, not on
+# every parse.
 _is_valid_problem = _compile_schema(PROBLEM_SCHEMA)
-_VALIDATOR = jsonschema.Draft202012Validator(PROBLEM_SCHEMA)
+
+
+@functools.cache
+def _validator():
+    """The jsonschema validator of PROBLEM_SCHEMA, built on first use."""
+    import jsonschema
+
+    return jsonschema.Draft202012Validator(PROBLEM_SCHEMA)
+
 
 _SECTION_NAMES = {value: name for name, value in SECTION_COEFFICIENTS.items()}
 
@@ -287,7 +295,9 @@ def problem_from_dict(doc: dict) -> GroundStructure:
     the analysis reuse it.
     """
     if not _is_valid_problem(doc):
-        error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(doc))
+        from jsonschema.exceptions import best_match
+
+        error = best_match(_validator().iter_errors(doc))
         if error is None:
             raise RuntimeError("the compiled problem check rejected a document "
                                "that jsonschema accepts")

@@ -82,7 +82,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.sparse
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigvalsh, qr, solve_triangular
 from scipy.linalg.lapack import dtrtrs
 
@@ -241,6 +240,8 @@ class _BlockData:
     """
 
     def __init__(self, blk: SdpBlock, m: int):
+        import scipy.sparse  # here, not at import: only an SDP solve needs it
+
         n = self.n = blk.n
         # Mirror the upper triangle so every stored matrix is fully populated.
         off = blk.row != blk.col
@@ -314,6 +315,8 @@ class _Stack:
     """
 
     def __init__(self, blocks: list[_BlockData], index: list[int]):
+        import scipy.sparse
+
         self.blocks, self.index = blocks, index
         self.n, self.k = blocks[0].n, len(blocks)
         self.scale = np.array([bd.scale for bd in blocks])

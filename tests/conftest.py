@@ -7,11 +7,16 @@ so the shipped benchmark definitions can be cross-checked against them.
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import cholesky, eigvalsh, solve_triangular
 
+import frameopt
 from frameopt.analysis import ReducedSystem
 from frameopt.model import (
     CIRCLE_SECTION,
@@ -107,6 +112,17 @@ def save_problem(gs: GroundStructure, path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(problem_to_dict(gs), handle, indent=2)
         handle.write("\n")
+
+
+def run_python(*args: str, **env: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on `args` with this frameopt importable.
+
+    Keyword arguments set environment variables.  Output is captured as text.
+    """
+    src = str(Path(frameopt.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *args], env={**os.environ, **env, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=600)
 
 
 def block_from_matrices(c, mats) -> SdpBlock:

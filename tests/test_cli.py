@@ -26,7 +26,7 @@ from frameopt.moments import build_relaxation, scale_problem
 from frameopt.problems import benchmark_case, cantilever
 from frameopt.sdp import _BlockData, _Presolve
 
-from conftest import save_problem
+from conftest import run_python, save_problem
 
 CANT3_AREAS = "0.141767,0.102424,0.055809"
 
@@ -361,3 +361,12 @@ def test_run_benchmark_takes_order_and_gentle_from_the_case(monkeypatch):
     run_benchmark(benchmark_case("tenbeam"), methods=("nsdp", "po"), settings=SETTINGS)
     assert calls["run_nsdp_local"]["rho_growth"] == 10.0
     assert calls["run_hierarchy"]["r_max"] == 2
+
+
+def test_python_dash_m_frameopt_runs_cleanly():
+    # The package's __main__ calls cli.main; running frameopt.cli as a script
+    # would execute the module a second time beside the imported one.
+    run = run_python("-m", "frameopt", "analyze", "cantilever-3",
+                     "--areas", "0.141767,0.102424,0.055809")
+    assert (run.returncode, run.stderr) == (0, "")
+    assert "compliance   80.3022395" in run.stdout

@@ -2,17 +2,11 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import frameopt
-
-from conftest import make_cantilever, make_girder, pmi_at, rng, substitute_y0
+from conftest import make_cantilever, make_girder, pmi_at, rng, run_python, substitute_y0
 from frameopt import moments
 from frameopt.analysis import compliance
 from frameopt.model import GroundStructure
@@ -430,13 +424,10 @@ def test_orders_end_alike_at_one_and_two_blas_threads():
     # follows the predictor's continuous step lengths, yet every order of
     # each case with an order-2 solve that fits here stops on the same
     # iterate at both thread counts.
-    src = str(Path(frameopt.__file__).resolve().parent.parent)
     ends = []
     for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        run = subprocess.run([sys.executable, "-c", ORDER_ENDS], env=env, check=True,
-                             capture_output=True, text=True, timeout=600)
+        run = run_python("-c", ORDER_ENDS, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        run.check_returncode()
         ends.append(json.loads(run.stdout))
     assert ends[0].keys() == ends[1].keys() == {"cantilever-3", "cantilever-5", "girder"}
     for name, orders in ends[0].items():
