@@ -27,6 +27,7 @@ from frameopt.moments import (
     rank_certificate,
     run_hierarchy,
     scale_problem,
+    sdp_outcome,
     solve_relaxation,
 )
 from frameopt.nsdp import RHO_GROWTH, run_nsdp_local
@@ -205,20 +206,23 @@ def run_method(gs: GroundStructure, method: str,
     return out
 
 
+# The report key of each field of moments.sdp_outcome, in report order.
+_SDP_REPORT_KEYS = {"lower_iteration": "lower_iteration", "status": "sdp_status",
+                    "reason": "sdp_reason", "sdp_iterations": "sdp_iterations",
+                    "n_moments": "n_moments", "phase_s": "phase_s",
+                    "schur_gflop": "schur_gflop"}
+
+
+def _sdp_report(outcome: dict) -> dict:
+    """An order's SDP outcome under its report keys."""
+    return {key: outcome[name] for name, key in _SDP_REPORT_KEYS.items()}
+
+
 def _order_rows(hr: HierarchyResult) -> list[dict]:
     """Certificate rows, each with the SDP outcome of its order."""
     by_order = {o["r"]: o for o in hr.diagnostics["orders"]}
-    rows = []
-    for cert in hr.certificates:
-        o = by_order[cert.order]
-        rows.append({**cert.report(), "lower_iteration": o["lower_iteration"],
-                     "sdp_status": o["status"],
-                     "sdp_reason": o["reason"],
-                     "sdp_iterations": o["sdp_iterations"],
-                     "n_moments": o["n_moments"],
-                     "phase_s": o["phase_s"],
-                     "schur_gflop": o["schur_gflop"]})
-    return rows
+    return [{**cert.report(), **_sdp_report(by_order[cert.order])}
+            for cert in hr.certificates]
 
 
 def _po_message(hr: HierarchyResult) -> str:
@@ -416,13 +420,7 @@ def _cmd_certify(args) -> int:
     ranks = rank_certificate(rel, sol.y)
     cert = gap_certificate(sol.lower, upper, gap_tol=args.gap_tol,
                            order=args.order, ranks=ranks, areas=areas)
-    print(json.dumps({**cert.report(), "lower_iteration": sol.lower_iteration,
-                      "sdp_status": sol.status,
-                      "sdp_reason": sol.sdp.diagnostics["reason"],
-                      "sdp_iterations": sol.sdp.iterations,
-                      "n_moments": rel.n_moments,
-                      "phase_s": sol.sdp.diagnostics["phase_s"],
-                      "schur_gflop": sol.sdp.diagnostics["schur_gflop"]}, indent=2))
+    print(json.dumps({**cert.report(), **_sdp_report(sdp_outcome(rel, sol))}, indent=2))
     return EXIT_OK if cert.verdict != "failed" else EXIT_NUMERICAL
 
 

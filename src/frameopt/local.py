@@ -348,11 +348,11 @@ def run_local_nlp(gs: GroundStructure, eps: float = OcConfig.eps) -> LocalResult
         a, res, grad = trial, res_trial, grad_new
         f_hist.append(res.compliance)
 
-    final = fval(a)
+    # Every way out of the loop leaves res the solve of a.
     return LocalResult(
         method="nlp",
         areas=a,
-        compliance=final.compliance,
+        compliance=res.compliance,
         status=status,
         iterations=iterations,
         reason=reason,

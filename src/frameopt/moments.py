@@ -393,6 +393,16 @@ def solve_relaxation(rel: Relaxation, gap_tol: float = GAP_TOL,
     return RelaxationSolution(sol.y, rule.lower, rule.iteration, sol.status, sol)
 
 
+def sdp_outcome(rel: Relaxation, sol: RelaxationSolution) -> dict:
+    """How the SDP of one order ended: status, reason, iterations, the
+    iteration of the kept bound, the moment count, phase times, Schur gflop."""
+    diag = sol.sdp.diagnostics
+    return {"status": sol.status, "reason": diag["reason"],
+            "sdp_iterations": sol.sdp.iterations, "lower_iteration": sol.lower_iteration,
+            "n_moments": rel.n_moments, "phase_s": diag["phase_s"],
+            "schur_gflop": diag["schur_gflop"]}
+
+
 def lower_bound(rel: Relaxation, z: list[np.ndarray]) -> float:
     """The bound on the relaxation's optimum that any Z proves, PSD or not.
 
@@ -582,13 +592,7 @@ def run_hierarchy(gs: GroundStructure, r_max: int = 3,
             diag["orders"].append({"r": r, "status": f"skipped: {exc}"})
             break
         rsol = solve_relaxation(rel, gap_tol)
-        diag["orders"].append({"r": r, "status": rsol.status,
-                               "reason": rsol.sdp.diagnostics["reason"],
-                               "sdp_iterations": rsol.sdp.iterations,
-                               "lower_iteration": rsol.lower_iteration,
-                               "n_moments": rel.n_moments,
-                               "phase_s": rsol.sdp.diagnostics["phase_s"],
-                               "schur_gflop": rsol.sdp.diagnostics["schur_gflop"]})
+        diag["orders"].append({"r": r, **sdp_outcome(rel, rsol)})
         lower = rsol.lower
         if lower < prev_lower - MONO_SLACK * max(1.0, abs(prev_lower)):
             diag["monotonicity_violations"].append((r, prev_lower, lower))

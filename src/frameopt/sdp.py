@@ -33,27 +33,32 @@ build and one dense factorization.  The build follows Fujisawa, Kojima &
 Nakata (Math. Prog. 79, 1997): one kernel forms W A_v W from the distinct
 rows of each A_v, batched over the variables of a block with equally many
 such rows, and contracts it on the positions the block uses (see
-_BlockData).  Step lengths come from the scaled pair too: the
-largest step along a scaled direction is -1/lambda_min(D^-1/2 Delta D^-1/2),
-one lowest eigenvalue per block and direction (Toh, COAP 21, 2002), and the
-scaled dual direction is T - dS~ by the linearized complementarity.
+_BlockData).  Step lengths come from the scaled pair too: the largest step
+along a scaled direction is -1/lambda_min(D^-1/2 Delta D^-1/2), one lowest
+eigenvalue per block and direction (Toh, COAP 21, 2002), and the scaled
+dual direction is T - dS~ by the linearized complementarity.
 
-The start and the step fraction follow SDPT3 (Toh, Todd & Tutuncu, Optim.
-Methods Softw. 11, 1999).  The start is S = max(10, sqrt(n), ||C||) I and
+An iteration (_interior_point) runs named parts in order: _measure takes
+the residuals rp and rd, mu and the history row; the stop tests;
+_nt_scaling; _schur_factor; _predictor; _corrector and its one _refine;
+_step_lengths; the update.  The start (_start) and the step fraction follow
+SDPT3 (Toh, Todd & Tutuncu, Optim. Methods Softw. 11, 1999).  The start is
+y = 0, S = max(10, sqrt(n), ||C||) I and
 Z = max(10, sqrt(n), n max_i (1 + |b_i|) / (1 + ||A_i||)) I per block; the
 n in Z matters on moment relaxations, whose dual optimum is large on the
 moment and PMI blocks, since a path that starts small spends its middle
 growing Z.  The corrector moves the fraction 0.9 + 0.09 min(alpha_p,
 alpha_d) of the way to the boundary, alpha_p and alpha_d being the
 predictor's step lengths: 0.9 where the predictor is blocked, up to 0.99
-where it could take a full step.  The corrector's dual direction gets one
-step of refinement on A*(dZ) = rd, so the dual residual stays at roundoff
-as Z grows.  Why the certificates hold: moments proves each order's bound
-from whatever Z the path reaches, so another path can change where an order
-stops but never whether its bound is valid.  The bound pays for the dual
-residual r = b - A*(Z) term by term (moments.lower_bound), so keeping that
-residual at roundoff is what lets a late iterate's bound come within the
-gap tolerance of the design's compliance.
+where it could take a full step.  _refine gives the corrector's dual
+direction one step of refinement on A*(dZ) = rd, so the dual residual
+stays at roundoff as Z grows.  Why the certificates hold: moments proves
+each order's bound from whatever Z the path reaches, so another path can
+change where an order stops but never whether its bound is valid.  The
+bound pays for the dual residual r = b - A*(Z) term by term
+(moments.lower_bound), so keeping that residual at roundoff is what lets a
+late iterate's bound come within the gap tolerance of the design's
+compliance.
 
 Blocks of equal size form a stack (_Stack), and the iteration holds S, Z,
 the residuals, the NT factors and the directions of a stack as (k, n, n)
@@ -79,6 +84,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -512,47 +518,19 @@ def solve_sdp(p: SdpProblem, callback=None) -> SdpSolution:
 
 
 def _interior_point(p: SdpProblem, callback=None) -> SdpSolution:
-    """Scaled predictor-corrector path following on an equality-free problem.
-
-    Every per-block matrix is held per stack of equal-size blocks (_Stack),
-    so each dense step below runs once per stack.
-    """
-    m = p.m
-    stacks = _stacks([_BlockData(blk, m) for blk in p.blocks])
+    """Scaled predictor-corrector path following on an equality-free problem;
+    each part runs once per stack of equal-size blocks (_Stack)."""
+    stacks = _stacks([_BlockData(blk, p.m) for blk in p.blocks])
     n_total = sum(st.k * st.n for st in stacks)
-
-    # SDPT3's start (module docstring), per block of the scaled data.
-    y = np.zeros(m)
-    b_weight = 1.0 + np.abs(p.b)
-    s_mats = [np.maximum(max(10.0, math.sqrt(st.n)), np.linalg.norm(st.c, axis=(1, 2)))
-              [:, None, None] * np.eye(st.n) for st in stacks]
-    z_mats = [np.array([max(10.0, math.sqrt(st.n),
-                            st.n * float(np.max(b_weight / (1.0 + bd.a_norms), initial=0.0)))
-                        for bd in st.blocks])[:, None, None] * np.eye(st.n) for st in stacks]
-
+    y, s_mats, z_mats = _start(p, stacks)
     history = []
     status, reason = "numerical-failure", "iteration limit"
     clock = _PhaseClock()
-
     for it in range(1, MAX_ITER + 1):
         clock.start("metrics")
-        # Residuals of S = A(y) - C and A'(Z) = b; a full Newton step with
-        # ds = A(dy) - rp etc. zeroes both.
-        a_y = [st.apply(y) for st in stacks]
-        rp = [st.c + s - a for st, s, a in zip(stacks, s_mats, a_y)]
-        rd = p.b.copy()
-        for st, z in zip(stacks, z_mats):
-            rd -= st.adjoint(z)
-        mu = sum(float(np.vdot(s, z)) for s, z in zip(s_mats, z_mats)) / n_total
-
-        metrics = _convergence_metrics(p, stacks, y, a_y, z_mats, rd)
-        # gap - correction = <S, Z> exactly; recorded so the weak-duality
-        # identity can be audited on every iterate.
-        correction = float(rd @ y) - sum(
-            float(np.vdot(rp_k, z)) for rp_k, z in zip(rp, z_mats))
-        history.append({"iteration": it, "mu": mu, "duality_correction": correction,
-                        **metrics})
-        if not math.isfinite(mu):
+        rp, rd, row = _measure(p, stacks, n_total, y, s_mats, z_mats)
+        history.append({"iteration": it, **row})
+        if not math.isfinite(row["mu"]):
             status, reason = "numerical-failure", "non-finite iterate"
             break
         if callback is not None:
@@ -562,144 +540,167 @@ def _interior_point(p: SdpProblem, callback=None) -> SdpSolution:
             if stop:
                 status, reason = "stopped", stop
                 break
-        if _is_within(metrics, TOL_FEAS, TOL_GAP):
+        if (row["rel_dual"] <= TOL_FEAS and row["rel_psd_violation"] <= TOL_FEAS
+                and row["rel_gap_abs"] <= TOL_GAP):
             status, reason = "optimal", "tolerances met"
             break
         if it == MAX_ITER:
             break
-
         # Late iterates of degenerate problems can drop positive definiteness
         # to roundoff; that ends the run on the last iterate measured.
         try:
             clock.start("scaling")
             factors = [_nt_scaling(s, z) for s, z in zip(s_mats, z_mats)]
-
-            clock.start("schur")
-            schur = np.zeros((m, m))
-            for st, (_, winv, _) in zip(stacks, factors):
-                for bd, winv_j in zip(st.blocks, winv):
-                    bd.schur_accumulate(winv_j, schur)
-            schur = 0.5 * (schur + schur.T)
-            clock.start("factor")
-            try:
-                schur_f = cho_factor(schur, lower=True, check_finite=False)
-            except LinAlgError:
-                # In place: schur + bump I would add three m x m temporaries
-                # to the solve's peak memory.
-                schur[np.diag_indices(m)] += 1e-12 * max(np.abs(np.diag(schur)).max(), 1.0)
-                schur_f = cho_factor(schur, lower=True, check_finite=False)
-
-            def newton(n_mats):
-                """dy, dS and the scaled dS~ = Ginv dS Ginv' for the target N."""
-                h = -rd
-                for st, n_mat, w_rp_k in zip(stacks, n_mats, w_rp):
-                    h = h + st.adjoint(n_mat + w_rp_k)
-                dy = cho_solve(schur_f, h, check_finite=False)
-                ds = [st.apply(dy) - rp_k for st, rp_k in zip(stacks, rp)]
-                ds_t = [ginv @ ds_k @ _mt(ginv) for (ginv, _, _), ds_k in zip(factors, ds)]
-                return dy, ds, ds_t
-
-            def step(ds_t, dz_t):
-                alpha_p = min(_steps_to_boundary(f[2], d).min() for f, d in zip(factors, ds_t))
-                alpha_d = min(_steps_to_boundary(f[2], d).min() for f, d in zip(factors, dz_t))
-                return alpha_p, alpha_d
-
-            # In the scaled space S~ = Z~ = D = diag(sig), and the linearized
-            # complementarity sym(D dZ~ + dS~ D) = rc is solved by
-            # dZ~ = T - dS~ with T = 2 rc / (sig_i + sig_j); N = Ginv' T Ginv.
+            schur_f = _schur_factor(stacks, factors, p.m, clock)
             clock.start("step")
-            w_rp = [winv @ rp_k @ winv for (_, winv, _), rp_k in zip(factors, rp)]
-            diags = [_diag(f[2]) for f in factors]
-            # Predictor: rc = -D^2, so T = -D and N = -Z.
-            _, _, ds_ta = newton([-z for z in z_mats])
-            dz_ta = [-d_k - d for d_k, d in zip(diags, ds_ta)]
-            alpha_pa, alpha_da = (min(1.0, a) for a in step(ds_ta, dz_ta))
-            # <S, Z> = <S~, Z~>, so the affine complementarity is read off the
-            # scaled pair.
-            mu_aff = sum(float(np.vdot(d_k + alpha_pa * ds_k, d_k + alpha_da * dz_k))
-                         for d_k, ds_k, dz_k in zip(diags, ds_ta, dz_ta)) / n_total
-            sigma = min(1.0, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
-
-            # Corrector: subtract the second-order term in the scaled space.
-            t_mats = []
-            for st, (_, _, sig), ds_k, dz_k in zip(stacks, factors, ds_ta, dz_ta):
-                cross = ds_k @ dz_k
-                rc = sigma * mu * np.eye(st.n) - _diag(sig * sig) - 0.5 * (cross + _mt(cross))
-                t_mats.append(2.0 * rc / (sig[:, :, None] + sig[:, None, :]))
-            n_mats = [_mt(ginv) @ t_mat @ ginv for (ginv, _, _), t_mat in zip(factors, t_mats)]
-            dy, ds, ds_t = newton(n_mats)
-            dz = [n_mat - winv @ ds_k @ winv
-                  for (_, winv, _), n_mat, ds_k in zip(factors, n_mats, ds)]
-            dz_t = [t_mat - d for t_mat, d in zip(t_mats, ds_t)]
-            # A*(dZ) = rd holds in exact arithmetic; in floating point the miss
-            # e = rd - A*(dZ) grows with Z, and so would the dual residual and
-            # the bound that moments proves from Z.  One refinement step removes
-            # it: M dy' = -e, with dS += A(dy') and dZ -= W^-1 A(dy') W^-1,
-            # which keeps the linearized complementarity.
-            miss = rd - sum(st.adjoint(dz_k) for st, dz_k in zip(stacks, dz))
-            dy_r = cho_solve(schur_f, -miss, check_finite=False)
-            dy = dy + dy_r
-            for st, (ginv, winv, _), ds_k, ds_tk, dz_k, dz_tk in zip(
-                    stacks, factors, ds, ds_t, dz, dz_t):
-                a_r = st.apply(dy_r)
-                a_rt = ginv @ a_r @ _mt(ginv)
-                ds_k += a_r
-                ds_tk += a_rt
-                dz_k -= winv @ a_r @ winv
-                dz_tk -= a_rt
-            del a_r, a_rt  # not held through the next Schur build, the peak of an iteration
-            # Fraction to the boundary from the predictor's step lengths.
-            gamma = 0.9 + 0.09 * min(alpha_pa, alpha_da)
-            alpha_p, alpha_d = (min(1.0, gamma * a) for a in step(ds_t, dz_t))
+            nwt = _Newton(stacks, factors, schur_f, rp, rd,
+                          [winv @ rp_k @ winv for (_, winv, _), rp_k in zip(factors, rp)])
+            ds_ta, dz_ta, sigma, gamma = _predictor(nwt, z_mats, row["mu"], n_total)
+            dy, ds, ds_t, dz, dz_t = _corrector(nwt, ds_ta, dz_ta, sigma * row["mu"])
+            dy = _refine(nwt, dy, ds, ds_t, dz, dz_t)
+            alpha_p, alpha_d = _step_lengths(factors, ds_t, dz_t, gamma)
             history[-1].update({"alpha_p": alpha_p, "alpha_d": alpha_d, "sigma": sigma,
                                 "step_fraction": gamma})
-
             y = y + alpha_p * dy
             s_mats = [_sym(s + alpha_p * d) for s, d in zip(s_mats, ds)]
             z_mats = [_sym(z + alpha_d * d) for z, d in zip(z_mats, dz)]
-
         except LinAlgError:
             status, reason = "numerical-failure", "lost positive definiteness"
             break
-
     clock.start(None)
-    # Internal pencils are the originals over the block's scale, so the dual
-    # matrix in original units is Z/scale.
     return SdpSolution(
         y=y, nu=np.zeros(0), z=_unstack(stacks, z_mats),
-        objective=metrics["objective"], dual_objective=metrics["dual_objective"],
-        gap=metrics["gap"], rel_gap=metrics["rel_gap"], status=status, iterations=it,
+        objective=row["objective"], dual_objective=row["dual_objective"],
+        gap=row["gap"], rel_gap=row["rel_gap"], status=status, iterations=it,
         diagnostics={"history": history, "reason": reason, "phase_s": clock.seconds,
                      "schur_gflop": sum(bd.flops for st in stacks for bd in st.blocks) / 1e9},
     )
 
 
-def _convergence_metrics(p, stacks, y, a_y, z_mats, rd) -> dict:
-    """Original-scale objective values and relative residuals for one iterate."""
-    pobj = float(p.b @ y)
-    dobj = 0.0
-    psd_viol = 0.0
+def _start(p: SdpProblem, stacks: list[_Stack]):
+    """SDPT3's y = 0, S and Z (module docstring) per stack of the scaled data."""
+    b_weight = 1.0 + np.abs(p.b)
+    s_mats = [np.maximum(max(10.0, math.sqrt(st.n)), np.linalg.norm(st.c, axis=(1, 2)))
+              [:, None, None] * np.eye(st.n) for st in stacks]
+    z_mats = [np.array([max(10.0, math.sqrt(st.n),
+                            st.n * float(np.max(b_weight / (1.0 + bd.a_norms), initial=0.0)))
+                        for bd in st.blocks])[:, None, None] * np.eye(st.n) for st in stacks]
+    return np.zeros(p.m), s_mats, z_mats
+
+
+def _measure(p: SdpProblem, stacks: list[_Stack], n_total: int, y, s_mats, z_mats):
+    """Residuals rp = C + S - A(y) and rd = b - A*(Z), which a full Newton step
+    zeroes, and the iterate's history row: mu = <S, Z> / n, the original-scale
+    objectives and the relative residuals."""
+    a_y = [st.apply(y) for st in stacks]
+    rp = [st.c + s - a for st, s, a in zip(stacks, s_mats, a_y)]
+    rd = p.b.copy()
+    for st, z in zip(stacks, z_mats):
+        rd -= st.adjoint(z)
+    pobj, dobj, psd_viol = float(p.b @ y), 0.0, 0.0
     for st, a, z in zip(stacks, a_y, z_mats):
         dobj += float(np.vdot(st.c, z))
         slack = a - st.c
         scale = 1.0 + np.linalg.norm(slack, axis=(1, 2))
         psd_viol = max(psd_viol, float(np.max(np.maximum(0.0, -lowest_eigs(slack)) / scale)))
-    gap = pobj - dobj
-    denom = 1.0 + abs(pobj) + abs(dobj)
-    return {
-        "objective": pobj,
-        "dual_objective": dobj,
-        "gap": gap,
-        "rel_gap": gap / denom,
-        "rel_gap_abs": abs(gap) / denom,
+    gap, denom = pobj - dobj, 1.0 + abs(pobj) + abs(dobj)
+    # gap - correction = <S, Z> exactly; recorded so the weak-duality
+    # identity can be audited on every iterate.
+    correction = float(rd @ y) - sum(float(np.vdot(rp_k, z)) for rp_k, z in zip(rp, z_mats))
+    return rp, rd, {
+        "mu": sum(float(np.vdot(s, z)) for s, z in zip(s_mats, z_mats)) / n_total,
+        "duality_correction": correction, "objective": pobj, "dual_objective": dobj,
+        "gap": gap, "rel_gap": gap / denom, "rel_gap_abs": abs(gap) / denom,
         "rel_dual": float(np.linalg.norm(rd)) / (1.0 + float(np.linalg.norm(p.b))),
-        "rel_psd_violation": psd_viol,
-    }
+        "rel_psd_violation": psd_viol}
 
 
-def _is_within(metrics: dict, tol_feas: float, tol_gap: float) -> bool:
-    return (metrics["rel_dual"] <= tol_feas and metrics["rel_psd_violation"] <= tol_feas
-            and metrics["rel_gap_abs"] <= tol_gap)
+def _schur_factor(stacks: list[_Stack], factors: list, m: int, clock: _PhaseClock):
+    """Cholesky factor of the Schur matrix <A_i, W^-1 A_v W^-1>; the build
+    counts as phase `schur`, the factorization as `factor`."""
+    clock.start("schur")
+    schur = np.zeros((m, m))
+    for st, (_, winv, _) in zip(stacks, factors):
+        for bd, winv_j in zip(st.blocks, winv):
+            bd.schur_accumulate(winv_j, schur)
+    schur = 0.5 * (schur + schur.T)
+    clock.start("factor")
+    try:
+        return cho_factor(schur, lower=True, check_finite=False)
+    except LinAlgError:
+        # In place: schur + bump I would add three m x m temporaries at the peak.
+        schur[np.diag_indices(m)] += 1e-12 * max(np.abs(np.diag(schur)).max(), 1.0)
+        return cho_factor(schur, lower=True, check_finite=False)
+
+
+# One iteration's Newton system: per stack the NT factors (ginv, winv, sig),
+# rp and w_rp = W^-1 rp W^-1; rd and the Schur factor.
+_Newton = namedtuple("_Newton", "stacks factors schur_f rp rd w_rp")
+
+
+def _newton(nwt: _Newton, n_mats: list):
+    """dy, dS and the scaled dS~ = Ginv dS Ginv' for the target N."""
+    h = -nwt.rd
+    for st, n_mat, w_rp_k in zip(nwt.stacks, n_mats, nwt.w_rp):
+        h = h + st.adjoint(n_mat + w_rp_k)
+    dy = cho_solve(nwt.schur_f, h, check_finite=False)
+    ds = [st.apply(dy) - rp_k for st, rp_k in zip(nwt.stacks, nwt.rp)]
+    return dy, ds, [ginv @ ds_k @ _mt(ginv) for (ginv, _, _), ds_k in zip(nwt.factors, ds)]
+
+
+def _predictor(nwt: _Newton, z_mats: list, mu: float, n_total: int):
+    """The affine step, rc = -D^2, so T = -D and N = -Z: its scaled directions,
+    the centering sigma and the corrector's fraction to the boundary."""
+    diags = [_diag(sig) for _, _, sig in nwt.factors]
+    _, _, ds_t = _newton(nwt, [-z for z in z_mats])
+    dz_t = [-d_k - d for d_k, d in zip(diags, ds_t)]
+    alpha_p, alpha_d = _step_lengths(nwt.factors, ds_t, dz_t, 1.0)
+    # <S, Z> = <S~, Z~>: the affine complementarity, read off the scaled pair.
+    mu_aff = sum(float(np.vdot(d_k + alpha_p * ds_k, d_k + alpha_d * dz_k))
+                 for d_k, ds_k, dz_k in zip(diags, ds_t, dz_t)) / n_total
+    sigma = min(1.0, max(1e-8, (max(mu_aff, 0.0) / mu) ** 3))
+    return ds_t, dz_t, sigma, 0.9 + 0.09 * min(alpha_p, alpha_d)
+
+
+def _corrector(nwt: _Newton, ds_ta: list, dz_ta: list, sigma_mu: float):
+    """dy, dS, dS~, dZ and dZ~ towards sigma mu I, less the predictor's
+    second-order term in the scaled space.  sym(D dZ~ + dS~ D) = rc is solved
+    by dZ~ = T - dS~ with T = 2 rc / (sig_i + sig_j), and N = Ginv' T Ginv."""
+    t_mats = []
+    for st, (_, _, sig), ds_k, dz_k in zip(nwt.stacks, nwt.factors, ds_ta, dz_ta):
+        cross = ds_k @ dz_k
+        rc = sigma_mu * np.eye(st.n) - _diag(sig * sig) - 0.5 * (cross + _mt(cross))
+        t_mats.append(2.0 * rc / (sig[:, :, None] + sig[:, None, :]))
+    n_mats = [_mt(ginv) @ t_mat @ ginv for (ginv, _, _), t_mat in zip(nwt.factors, t_mats)]
+    dy, ds, ds_t = _newton(nwt, n_mats)
+    dz = [n_mat - winv @ ds_k @ winv for (_, winv, _), n_mat, ds_k in zip(nwt.factors, n_mats, ds)]
+    return dy, ds, ds_t, dz, [t_mat - d for t_mat, d in zip(t_mats, ds_t)]
+
+
+def _refine(nwt: _Newton, dy, ds, ds_t, dz, dz_t) -> np.ndarray:
+    """dy after one refinement step on A*(dZ) = rd, whose miss e = rd - A*(dZ)
+    grows with Z in floating point: M dy' = -e, with dS += A(dy') and
+    dZ -= W^-1 A(dy') W^-1 (and their scaled forms) in place, which keeps the
+    linearized complementarity."""
+    miss = nwt.rd - sum(st.adjoint(dz_k) for st, dz_k in zip(nwt.stacks, dz))
+    dy_r = cho_solve(nwt.schur_f, -miss, check_finite=False)
+    for st, (ginv, winv, _), ds_k, ds_tk, dz_k, dz_tk in zip(
+            nwt.stacks, nwt.factors, ds, ds_t, dz, dz_t):
+        a_r = st.apply(dy_r)
+        a_rt = ginv @ a_r @ _mt(ginv)
+        ds_k += a_r
+        ds_tk += a_rt
+        dz_k -= winv @ a_r @ winv
+        dz_tk -= a_rt
+    return dy + dy_r
+
+
+def _step_lengths(factors: list, ds_t: list, dz_t: list, fraction: float):
+    """Primal and dual step lengths: `fraction` of the largest steps along the
+    scaled directions that every block allows, at most 1."""
+    return tuple(min(1.0, fraction * min(_steps_to_boundary(sig, d).min()
+                                         for (_, _, sig), d in zip(factors, dirs)))
+                 for dirs in (ds_t, dz_t))
 
 
 def check_kkt(p: SdpProblem, sol: SdpSolution) -> KktReport:
@@ -727,4 +728,3 @@ def check_kkt(p: SdpProblem, sol: SdpSolution) -> KktReport:
         slack_min_eigs=tuple(slack_eigs),
         dual_min_eigs=tuple(dual_eigs),
     )
-

@@ -176,6 +176,8 @@ def test_certify_flat_design(capsys):
     assert report["n_moments"] == 6  # monomials of degree <= 2 in 2 variables
     assert set(report["phase_s"]) == {"scaling", "schur", "factor", "step", "metrics"}
     assert report["schur_gflop"] > 0.0
+    assert list(report) == \
+        list(run_method(cantilever(1), "po", SolveSettings(order_max=1)).orders[0])
 
 
 def test_certify_bounds_a_starved_solve(capsys, monkeypatch):

@@ -172,6 +172,19 @@ def test_weak_duality_identity_along_path():
         assert slack >= -1e-9 * scale
 
 
+def test_dual_refinement_keeps_the_residual_on_the_line():
+    # After a step of length alpha_d the dual residual is
+    # (1 - alpha_d) rd + alpha_d (rd - A*(dZ)), and the refinement holds the
+    # miss rd - A*(dZ) at roundoff, so the relative residual shrinks at least
+    # in proportion.  On cantilever-3 order 2 the largest excess over that
+    # line is 9.1e-14; without the refinement it is 1.1e-9.
+    history = solve_sdp(build_relaxation(scale_problem(cantilever(3)), 2).problem) \
+        .diagnostics["history"]
+    assert len(history) > 20
+    for row, nxt in zip(history, history[1:]):
+        assert nxt["rel_dual"] <= (1.0 - row["alpha_d"]) * row["rel_dual"] + 1e-11, row
+
+
 def test_step_fraction_stays_within_its_range():
     # The fraction to the boundary follows the predictor's step lengths,
     # 0.9 + 0.09 min(alpha_p, alpha_d) with both in [0, 1], and every step
