@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf
@@ -248,7 +249,8 @@ class FrameAssembly:
     into its node-order band (``stiffness_band``), which the FEM solves
     factor; ``stiffness`` mirrors the band into a dense matrix.  Load vectors
     stay full-length, indexed by global DOF.  A structure builds its one
-    assembly on first use of ``gs.assembly``.
+    assembly on first use of ``gs.assembly``; its arrays are read-only, since
+    equal parsed documents share the structure and so the assembly.
     """
 
     def __init__(self, gs: GroundStructure):
@@ -259,7 +261,7 @@ class FrameAssembly:
             if not (math.isfinite(node.x) and math.isfinite(node.y)):
                 raise ModelError(f"non-finite coordinates at node {node.id}")
             node_index[node.id] = pos
-        self.node_index = node_index
+        self.node_index = MappingProxyType(node_index)
         self.n_dof = gs.n_dof
         self.n_elements = ne = gs.n_elements
 
@@ -382,6 +384,11 @@ class FrameAssembly:
                 raise ModelError(f"unknown load type {type(load).__name__}")
 
         self.self_weight = sw
+        # Equal documents share one structure, and with it this assembly:
+        # nothing may write to its arrays or its node index once built.
+        for value in vars(self).values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     @staticmethod
     def _scheme(name: str):
@@ -457,6 +464,7 @@ class FrameAssembly:
         return float(self.lengths @ np.asarray(a, dtype=float))
 
 
+@lru_cache(maxsize=1024)
 def band_rows(u: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gather index of the rows of a symmetric n x n matrix of half-bandwidth u.
 
@@ -466,12 +474,18 @@ def band_rows(u: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     ``cols`` names the column of each entry.  Positions outside the matrix
     point at slot 0, the unused band[0, 0] (zero whenever u > 0), and at
     column 0.
+
+    The pair depends on (u, n) alone, so it is built once per pair, read-only,
+    and shared by every structure and kept system of that shape.
     """
     i = np.arange(n)[:, None]
     j = i + np.arange(-u, u + 1)
     inside = (j >= 0) & (j < n)
     slots = u * (np.maximum(i, j) + 1) + np.minimum(i, j)
-    return np.where(inside, slots, 0), np.where(inside, j, 0)
+    out = np.where(inside, slots, 0), np.where(inside, j, 0)
+    for index in out:
+        index.flags.writeable = False
+    return out
 
 
 def uniform_design(gs: GroundStructure) -> np.ndarray:

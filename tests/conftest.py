@@ -17,6 +17,7 @@ import pytest
 from scipy.linalg import cholesky, eigvalsh, solve_triangular
 
 import frameopt
+from frameopt import problems
 from frameopt.analysis import ReducedSystem
 from frameopt.model import (
     CIRCLE_SECTION,
@@ -34,6 +35,14 @@ from frameopt.model import (
 )
 from frameopt.problems import problem_to_dict
 from frameopt.sdp import SdpBlock, SdpProblem, _chol
+
+
+@pytest.fixture(autouse=True)
+def _fresh_structure_table():
+    """Each test starts with no parsed structures kept, so counts of
+    assemblies and checks do not depend on which tests ran before."""
+    problems._interned.cache_clear()
+
 
 TIP_FX = math.cos(math.pi / 6.0)
 TIP_FY = -math.sin(math.pi / 6.0)

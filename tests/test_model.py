@@ -331,6 +331,27 @@ def test_structure_is_immutable_and_owns_one_assembly():
     assert require_valid(gs) is asm
 
 
+def test_assembly_arrays_are_read_only():
+    # Equal parsed documents share one structure and its assembly.
+    asm = make_girder().assembly
+    with pytest.raises(ValueError, match="read-only"):
+        asm.ka[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        asm.f0 += 1.0
+    with pytest.raises(TypeError):
+        asm.node_index[99] = 0
+    arrays = [v for v in vars(asm).values() if isinstance(v, np.ndarray)]
+    assert asm.f1 is not None and any(v is asm.f1 for v in arrays)
+    assert not any(array.flags.writeable for array in arrays)
+    # Structures of one band shape share one row gather.
+    other = make_girder(volume=0.3).assembly
+    assert other.band_slots is asm.band_slots and other.band_cols is asm.band_cols
+    # What the methods hand out stays the caller's to change.
+    a = uniform_design(make_girder())
+    for out in (asm.loads(a), asm.stiffness_band(a), asm.stiffness(a)):
+        assert out.flags.writeable
+
+
 def test_validate_rejects_unsupported_structure():
     # Free rotation and vertical motion at the only support.
     gs = dataclasses.replace(make_cantilever(2), supports=[Support(1, ux=True)])

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import random
+import re
 from importlib import resources
 
 import jsonschema
@@ -16,6 +17,7 @@ from frameopt.cli import run_method
 from frameopt.model import (
     SECTION_COEFFICIENTS,
     FrameAssembly,
+    MechanismError,
     ModelError,
     require_valid,
     uniform_design,
@@ -233,12 +235,116 @@ def test_request_assembles_and_checks_once(kind, monkeypatch):
 
     monkeypatch.setattr(FrameAssembly, "__init__", counting_init)
     monkeypatch.setattr(model, "validate", counting_check)
-    gs = problem_from_dict(problem_to_dict(cantilever(3)))
+    doc = problem_to_dict(cantilever(3))
+    gs = problem_from_dict(doc)
     result = _request(kind, gs)
     if kind == "optimize":
         assert result.status == "converged"
         assert result.verified_compliance is not None
     assert counts == {"assembly": 1, "check": 1}
+    # An equal document is the same structure: no second assembly or check.
+    again = problem_from_dict(json.loads(json.dumps(doc)))
+    assert again is gs
+    _request(kind, again)
+    assert counts == {"assembly": 1, "check": 1}
+    # One load value, or only the name, makes a structure of its own.
+    heavier = copy.deepcopy(doc)
+    heavier["loads"][0]["fy"] *= 2.0
+    for variant in (heavier, dict(doc, name="another")):
+        other = problem_from_dict(variant)
+        assert other is not gs and other != gs
+    assert counts == {"assembly": 3, "check": 3}
+
+
+def test_structure_table_evicts_the_least_recently_used():
+    base = problem_to_dict(cantilever(1))
+    docs = [dict(base, name=f"c-{k}")
+            for k in range(problems.STRUCTURE_CACHE_SIZE + 1)]
+    first, second = problem_from_dict(docs[0]), problem_from_dict(docs[1])
+    for doc in docs[2:-1]:
+        problem_from_dict(doc)
+    # The table is full; a repeat makes docs[0] the most recently used.
+    assert problem_from_dict(docs[0]) is first
+    problem_from_dict(docs[-1])
+    assert problems._interned.cache_info().currsize == problems.STRUCTURE_CACHE_SIZE
+    assert problem_from_dict(docs[0]) is first
+    evicted = problem_from_dict(docs[1])
+    assert evicted is not second and evicted == second
+
+
+def _twin_zero_signs(doc):
+    doc["nodes"][0]["x"] = -0.0
+    for node in doc["nodes"]:
+        node["y"] = -0.0
+    doc["loads"][-1]["m"] = -0.0
+
+
+def _twin_float_ids(doc):
+    for item in doc["nodes"] + doc["elements"] + doc["supports"] + doc["loads"]:
+        for key in ("id", "node"):
+            if key in item:
+                item[key] = float(item[key])
+    for el in doc["elements"]:
+        el["nodes"] = [float(n) for n in el["nodes"]]
+
+
+@pytest.mark.parametrize("twin", [_twin_zero_signs, _twin_float_ids])
+def test_equal_twins_parse_alike_in_either_order(twin):
+    # -0.0 == 0.0 and 2.0 == 2, and each pair hashes alike: a twin must not
+    # inherit the other's spelling from the table.
+    plain = problem_to_dict(cantilever(3))
+    plain["loads"].append({"type": "moment", "node": 2, "m": 0.0})
+    other = copy.deepcopy(plain)
+    twin(other)
+    assert json.dumps(other) != json.dumps(plain)
+    seen = set()
+    for order in ((plain, other), (other, plain)):
+        problems._interned.cache_clear()
+        for doc in order:
+            gs = problem_from_dict(copy.deepcopy(doc))
+            result = compliance(gs, uniform_design(gs))
+            oc = run_method(gs, "oc")
+            seen.add((json.dumps(problem_to_dict(gs)), result.u.tobytes(),
+                      result.compliance, oc.areas.tobytes(), oc.iterations))
+    assert len(seen) == 1
+    assert json.dumps(problem_to_dict(problem_from_dict(plain))) == json.dumps(plain)
+
+
+def _fingerprint(kind, result):
+    if kind == "analyze":
+        return result.compliance, result.u.tobytes()
+    if kind == "optimize":
+        return (result.status, result.iterations, result.reason, result.compliance,
+                result.verified_compliance, result.areas.tobytes())
+    return result
+
+
+@pytest.mark.parametrize("kind", ["analyze", "optimize", "render"])
+def test_repeated_request_matches_a_cold_parse(kind):
+    doc = problem_to_dict(girder())
+    first = _request(kind, problem_from_dict(doc))
+    repeated = problem_from_dict(copy.deepcopy(doc))
+    again = _request(kind, repeated)
+    problems._interned.cache_clear()
+    cold = problem_from_dict(doc)
+    assert cold is not repeated
+    expected = _fingerprint(kind, _request(kind, cold))
+    assert _fingerprint(kind, first) == expected
+    assert _fingerprint(kind, again) == expected
+
+
+def test_rejected_document_raises_alike_when_repeated():
+    mechanism = problem_to_dict(cantilever(3))
+    mechanism["supports"] = [{"node": 1, "ux": True}]
+    invalid = dict(problem_to_dict(cantilever(3)), material="steel")
+    for doc, error, text in ((mechanism, MechanismError, "kinematic mechanism"),
+                             (invalid, ModelError, "problem file invalid at (root)")):
+        raised = []
+        for _ in range(2):
+            with pytest.raises(error, match=re.escape(text)) as info:
+                problem_from_dict(copy.deepcopy(doc))
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1]
 
 
 # -- the compiled schema check ---------------------------------------------------
