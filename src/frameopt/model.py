@@ -162,75 +162,69 @@ class ValidationReport:
         return "; ".join(self.errors) if self.errors else "ok"
 
 
-def _rotation(c: float, s: float) -> np.ndarray:
-    """Global-to-local transformation for one element (6x6)."""
-    r = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
-    out = np.zeros((6, 6))
-    out[:3, :3] = r
-    out[3:, 3:] = r
-    return out
+def _element_patterns(lengths, squares, cubes, c, s, modulus, flexural):
+    """Global stiffness patterns of all elements, stacked (ne, 6, 6).
+
+    Returns ka = E R'(k_axial)R per unit area and kb = E c_I R'(k_bending)R
+    per unit area squared, with R the global-to-local rotation, k_axial the
+    local axial pattern per unit EA and k_bending the local bending pattern
+    per unit EI.  ``squares`` and ``cubes`` are the lengths' powers.  Each
+    product is formed as ((E R') k) R and then symmetrized as (K + K')/2,
+    since for members at general angles the product itself is symmetric
+    only to roundoff.
+    """
+    ne = lengths.size
+    rot = np.zeros((ne, 6, 6))
+    for b in (0, 3):
+        rot[:, b, b] = rot[:, b + 1, b + 1] = c
+        rot[:, b, b + 1] = s
+        rot[:, b + 1, b] = -s
+        rot[:, b + 2, b + 2] = 1.0
+    axial = np.zeros((ne, 6, 6))
+    axial[:, 0, 0] = axial[:, 3, 3] = 1.0 / lengths
+    axial[:, 0, 3] = axial[:, 3, 0] = -1.0 / lengths
+    shear, slope = 12.0 / cubes, 6.0 / squares
+    near, far = 4.0 / lengths, 2.0 / lengths
+    sub = [[shear, slope, -shear, slope],
+           [slope, near, -slope, far],
+           [-shear, -slope, shear, -slope],
+           [slope, far, -slope, near]]
+    bending = np.zeros((ne, 6, 6))
+    for p, i in enumerate((1, 2, 4, 5)):
+        for q, j in enumerate((1, 2, 4, 5)):
+            bending[:, i, j] = sub[p][q]
+    rot_t = rot.transpose(0, 2, 1)
+    patterns = []
+    for scale, local in ((modulus, axial), (modulus * flexural, bending)):
+        k = (scale[:, None, None] * rot_t) @ local @ rot
+        patterns.append(0.5 * (k + k.transpose(0, 2, 1)))
+    return patterns
 
 
-def _local_axial(length: float) -> np.ndarray:
-    """Axial stiffness pattern per unit EA (local coordinates)."""
-    k = 1.0 / length
-    m = np.zeros((6, 6))
-    m[0, 0] = m[3, 3] = k
-    m[0, 3] = m[3, 0] = -k
-    return m
-
-
-def _local_bending(length: float) -> np.ndarray:
-    """Bending stiffness pattern per unit EI (local coordinates)."""
-    l1, l2, l3 = length, length**2, length**3
-    rows = np.array([1, 2, 4, 5])
-    sub = np.array(
-        [
-            [12.0 / l3, 6.0 / l2, -12.0 / l3, 6.0 / l2],
-            [6.0 / l2, 4.0 / l1, -6.0 / l2, 2.0 / l1],
-            [-12.0 / l3, -6.0 / l2, 12.0 / l3, -6.0 / l2],
-            [6.0 / l2, 2.0 / l1, -6.0 / l2, 4.0 / l1],
-        ]
-    )
-    m = np.zeros((6, 6))
-    m[np.ix_(rows, rows)] = sub
-    return m
-
-
-def _transverse_consistent(length: float, c: float, s: float, q: float) -> np.ndarray:
+def _transverse_consistent(lengths, squares, c, s, q: float) -> np.ndarray:
     """Work-equivalent nodal loads for a uniform line load q in global -y.
 
-    Returns the global 6-vector (Fx1, Fy1, M1, Fx2, Fy2, M2).  The load is
-    decomposed into local axial and transverse components, each applied via
-    the standard consistent pattern, then rotated back to global axes.
+    Returns one global 6-vector (Fx1, Fy1, M1, Fx2, Fy2, M2) per element.
+    The load is decomposed into local axial and transverse components, each
+    applied via the standard consistent pattern, then rotated back to
+    global axes.
     """
     wx = -q * s        # local axial component per unit length
     wy = -q * c        # local transverse component per unit length
-    fl = np.array(
-        [
-            wx * length / 2.0,
-            wy * length / 2.0,
-            wy * length**2 / 12.0,
-            wx * length / 2.0,
-            wy * length / 2.0,
-            -wy * length**2 / 12.0,
-        ]
-    )
-    out = fl.copy()
-    out[0] = c * fl[0] - s * fl[1]
-    out[1] = s * fl[0] + c * fl[1]
-    out[3] = c * fl[3] - s * fl[4]
-    out[4] = s * fl[3] + c * fl[4]
-    return out
+    fx, fy = wx * lengths / 2.0, wy * lengths / 2.0
+    moment = wy * squares / 12.0
+    gx, gy = c * fx - s * fy, s * fx + c * fy
+    return np.stack([gx, gy, moment, gx, gy, -moment], axis=1)
 
 
-def _transverse_lumped(length: float, c: float, s: float, q: float) -> np.ndarray:
+def _transverse_lumped(lengths, squares, c, s, q: float) -> np.ndarray:
     """Statically equivalent nodal loads for a uniform line load q in global -y.
 
     Half the resultant q*length goes to each end node; no fixed-end moments.
     """
-    half = q * length / 2.0
-    return np.array([0.0, -half, 0.0, 0.0, -half, 0.0])
+    out = np.zeros((lengths.size, 6))
+    out[:, 1] = out[:, 4] = -(q * lengths / 2.0)
+    return out
 
 
 _LOAD_SCHEMES = {
@@ -245,6 +239,8 @@ class FrameAssembly:
     Splits every element stiffness into the two global patterns
     K_e(a) = a * ka_e + a**2 * kb_e and every load vector into
     f(a) = f0 + sum_i a_i * f1_i, which is all downstream code needs.
+    ka and kb are exactly symmetric, so the band, which reads their upper
+    entries, and the contractions of the full 6x6 patterns see one K.
     The stiffness is assembled once, on the support-reduced DOF set ``free``
     into its node-order band (``stiffness_band``), which the FEM solves
     factor; ``stiffness`` mirrors the band into a dense matrix.  Load vectors
@@ -266,11 +262,10 @@ class FrameAssembly:
         self.n_elements = ne = gs.n_elements
 
         self.lengths = np.zeros(ne)
-        self.cos = np.zeros(ne)
-        self.sin = np.zeros(ne)
+        # The powers are taken per element on Python floats: numpy's array
+        # powers round differently in the last bit.
+        squares, cubes, cos, sin, modulus, flexural = np.zeros((6, ne))
         self.dofs = np.zeros((ne, 6), dtype=int)
-        self.ka = np.zeros((ne, 6, 6))
-        self.kb = np.zeros((ne, 6, 6))
 
         seen = set()
         for k, el in enumerate(gs.elements):
@@ -294,14 +289,13 @@ class FrameAssembly:
             length = math.hypot(dx, dy)
             if length <= 0.0:
                 raise ModelError(f"element {el.id} has zero length")
-            c, s = dx / length, dy / length
-            self.lengths[k] = length
-            self.cos[k], self.sin[k] = c, s
+            self.lengths[k], squares[k], cubes[k] = length, length**2, length**3
+            cos[k], sin[k] = dx / length, dy / length
+            modulus[k], flexural[k] = el.young_modulus, el.c_i
             ia, ib = node_index[el.node_a], node_index[el.node_b]
             self.dofs[k] = [3 * ia, 3 * ia + 1, 3 * ia + 2, 3 * ib, 3 * ib + 1, 3 * ib + 2]
-            rot = _rotation(c, s)
-            self.ka[k] = el.young_modulus * rot.T @ _local_axial(length) @ rot
-            self.kb[k] = el.young_modulus * el.c_i * rot.T @ _local_bending(length) @ rot
+        self.ka, self.kb = _element_patterns(self.lengths, squares, cubes, cos, sin,
+                                             modulus, flexural)
 
         if not gs.supports:
             raise ModelError("structure has no supports")
@@ -339,7 +333,6 @@ class FrameAssembly:
         element_pos = {el.id: k for k, el in enumerate(gs.elements)}
         self.f0 = np.zeros(self.n_dof)
         self.f1 = None
-        sw = 0.0
         for load in gs.loads:
             if isinstance(load, NodalForce):
                 if load.node not in node_index:
@@ -363,9 +356,10 @@ class FrameAssembly:
                 for eid in load.elements:
                     if eid not in element_pos:
                         raise ModelError(f"distributed load references unknown element {eid}")
-                    k = element_pos[eid]
-                    vec = pattern(self.lengths[k], self.cos[k], self.sin[k], load.q)
-                    np.add.at(self.f0, self.dofs[k], vec)
+                ks = np.array([element_pos[eid] for eid in load.elements], dtype=int)
+                # add.at sums element by element, in the load's order.
+                np.add.at(self.f0, self.dofs[ks],
+                          pattern(self.lengths[ks], squares[ks], cos[ks], sin[ks], load.q))
             elif isinstance(load, SelfWeight):
                 if not (math.isfinite(load.rho) and math.isfinite(load.g)):
                     raise ModelError("non-finite self-weight density or gravity")
@@ -373,17 +367,14 @@ class FrameAssembly:
                     raise ModelError("self-weight density must be non-negative")
                 pattern = self._scheme(load.scheme)
                 rate = load.rho * load.g
-                sw += rate
                 if rate > 0.0:
                     if self.f1 is None:
                         self.f1 = np.zeros((ne, 6))
                     # Unit pattern per element: line load "rate" per unit area.
-                    for k in range(ne):
-                        self.f1[k] += pattern(self.lengths[k], self.cos[k], self.sin[k], rate)
+                    self.f1 += pattern(self.lengths, squares, cos, sin, rate)
             else:
                 raise ModelError(f"unknown load type {type(load).__name__}")
 
-        self.self_weight = sw
         # Equal documents share one structure, and with it this assembly:
         # nothing may write to its arrays or its node index once built.
         for value in vars(self).values():

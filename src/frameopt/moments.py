@@ -430,13 +430,12 @@ def lower_bound(rel: Relaxation, z: list[np.ndarray]) -> float:
     return float(resid[0] - free + eig - slack)
 
 
-def moment_matrix(rel: Relaxation, y: np.ndarray,
-                  order: int | None = None) -> np.ndarray:
-    """Dense M_order(y); defaults to the relaxation order."""
-    if order is None or order == rel.order:
-        basis = rel.moment_basis
-    else:
-        basis = monomial_basis(rel.sp.n_vars, order)
+def moment_matrix(rel: Relaxation, y: np.ndarray) -> np.ndarray:
+    """Dense M_r(y) at the relaxation's order r.
+
+    The basis is graded, so M_s(y) of a lower order s is its leading block.
+    """
+    basis = rel.moment_basis
     yix = rel.y_basis.index
     out = np.zeros((len(basis), len(basis)))
     for i, alpha in enumerate(basis.exponents):

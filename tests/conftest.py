@@ -262,3 +262,105 @@ def scramble_nodes(gs: GroundStructure, gen: np.random.Generator) -> GroundStruc
     order = gen.permutation(len(gs.nodes))
     return dataclasses.replace(gs, nodes=[gs.nodes[k] for k in order],
                                name=gs.name + "-scrambled")
+
+
+def _rotation(c, s):
+    r = np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]])
+    out = np.zeros((6, 6))
+    out[:3, :3] = r
+    out[3:, 3:] = r
+    return out
+
+
+def _local_axial(length):
+    k = 1.0 / length
+    m = np.zeros((6, 6))
+    m[0, 0] = m[3, 3] = k
+    m[0, 3] = m[3, 0] = -k
+    return m
+
+
+def _local_bending(length):
+    l1, l2, l3 = length, length**2, length**3
+    rows = np.array([1, 2, 4, 5])
+    sub = np.array([[12.0 / l3, 6.0 / l2, -12.0 / l3, 6.0 / l2],
+                    [6.0 / l2, 4.0 / l1, -6.0 / l2, 2.0 / l1],
+                    [-12.0 / l3, -6.0 / l2, 12.0 / l3, -6.0 / l2],
+                    [6.0 / l2, 2.0 / l1, -6.0 / l2, 4.0 / l1]])
+    m = np.zeros((6, 6))
+    m[np.ix_(rows, rows)] = sub
+    return m
+
+
+def _line_load(scheme, length, c, s, q):
+    if scheme == "lumped":
+        half = q * length / 2.0
+        return np.array([0.0, -half, 0.0, 0.0, -half, 0.0])
+    wx, wy = -q * s, -q * c
+    fl = np.array([wx * length / 2.0, wy * length / 2.0, wy * length**2 / 12.0,
+                   wx * length / 2.0, wy * length / 2.0, -wy * length**2 / 12.0])
+    out = fl.copy()
+    out[0] = c * fl[0] - s * fl[1]
+    out[1] = s * fl[0] + c * fl[1]
+    out[3] = c * fl[3] - s * fl[4]
+    out[4] = s * fl[3] + c * fl[4]
+    return out
+
+
+def element_patterns_oracle(gs: GroundStructure):
+    """ka, kb, f0 and f1 of a valid structure, built element by element.
+
+    Each element's patterns are the products E R' k R of its 6x6 rotation R
+    and local pattern k, unsymmetrized, and each load pattern is evaluated
+    member by member: the reference for FrameAssembly's batched
+    construction.  f1 is None without a positive self-weight.
+    """
+    pos = {node.id: k for k, node in enumerate(gs.nodes)}
+    ne = len(gs.elements)
+    ka, kb = np.zeros((ne, 6, 6)), np.zeros((ne, 6, 6))
+    geometry, dofs = [], []
+    for k, el in enumerate(gs.elements):
+        ia, ib = pos[el.node_a], pos[el.node_b]
+        dx, dy = gs.nodes[ib].x - gs.nodes[ia].x, gs.nodes[ib].y - gs.nodes[ia].y
+        length = math.hypot(dx, dy)
+        c, s = dx / length, dy / length
+        geometry.append((length, c, s))
+        dofs.append([3 * ia, 3 * ia + 1, 3 * ia + 2, 3 * ib, 3 * ib + 1, 3 * ib + 2])
+        rot = _rotation(c, s)
+        ka[k] = el.young_modulus * rot.T @ _local_axial(length) @ rot
+        kb[k] = el.young_modulus * el.c_i * rot.T @ _local_bending(length) @ rot
+    element_pos = {el.id: k for k, el in enumerate(gs.elements)}
+    f0, f1 = np.zeros(3 * len(gs.nodes)), None
+    for load in gs.loads:
+        if isinstance(load, NodalForce):
+            f0[3 * pos[load.node]] += load.fx
+            f0[3 * pos[load.node] + 1] += load.fy
+        elif isinstance(load, NodalMoment):
+            f0[3 * pos[load.node] + 2] += load.m
+        elif isinstance(load, DistributedLoad):
+            for eid in load.elements:
+                k = element_pos[eid]
+                np.add.at(f0, dofs[k], _line_load(load.scheme, *geometry[k], load.q))
+        elif load.rho * load.g > 0.0:
+            f1 = np.zeros((ne, 6)) if f1 is None else f1
+            for k in range(ne):
+                f1[k] += _line_load(load.scheme, *geometry[k], load.rho * load.g)
+    return ka, kb, f0, f1
+
+
+def jitter_nodes(gs: GroundStructure, gen: np.random.Generator,
+                 amount: float = 0.3) -> GroundStructure:
+    """The structure with each node moved by up to ``amount`` in x and y, so
+    that its members lie at general angles, where R' k R is symmetric only
+    to roundoff."""
+    moved = [dataclasses.replace(node, x=node.x + float(dx), y=node.y + float(dy))
+             for node, (dx, dy) in zip(gs.nodes, gen.uniform(-amount, amount,
+                                                             (len(gs.nodes), 2)))]
+    return dataclasses.replace(gs, nodes=moved, name=gs.name + "-jittered")
+
+
+def make_skew_frame(gen: np.random.Generator) -> GroundStructure:
+    """A 2 x 1 grid with its nodes jittered, so every member lies at a
+    general angle, under random nodal loads and a consistent self-weight."""
+    gs = jitter_nodes(make_grid(2, 1, gen), gen)
+    return dataclasses.replace(gs, loads=gs.loads + (SelfWeight(2.0, 1.0, "consistent"),))

@@ -34,6 +34,7 @@ from conftest import (
     make_girder,
     make_grid,
     make_long_girder,
+    make_skew_frame,
     make_ten_beam,
     reduced_system_from_dense,
     rng,
@@ -223,11 +224,12 @@ def test_uniform_upper_bound_girder_lumped_matches_statics(girder):
 
 
 def test_adjoint_gradient_matches_central_differences():
-    # 20 random instances across geometries with and without self-weight.
-    cases = [make_cantilever(3), make_ten_beam(), make_girder()]
+    # 24 random instances across geometries with and without self-weight;
+    # the skew frame's members lie at general angles.
+    cases = [make_cantilever(3), make_ten_beam(), make_girder(), make_skew_frame(rng(8))]
     gen = rng(7)
     checked = 0
-    while checked < 20:
+    while checked < 24:
         gs = cases[checked % len(cases)]
         ne = gs.n_elements
         a = gen.uniform(0.02, 0.12, ne)

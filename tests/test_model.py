@@ -21,8 +21,11 @@ from frameopt.model import (
     uniform_design,
     validate,
 )
+from frameopt.problems import build_benchmarks
 
 from conftest import (
+    element_patterns_oracle,
+    jitter_nodes,
     make_cantilever,
     make_girder,
     make_grid,
@@ -172,6 +175,40 @@ def test_stiffness_band_equals_dense_upper_triangle(build):
         assert np.all(band[u + i[inside] - j[inside], j[inside]] == K[i[inside], j[inside]])
         assert not np.any(K[i[~inside], j[~inside]])
         assert not np.any(band[col - u + d < 0])     # the unused corner
+
+
+def same_bits(x, y) -> bool:
+    """Equal shapes and bytes: every entry equal, zeros' signs included."""
+    if x is None or y is None:
+        return x is y
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("build", [
+    *(case.build for case in build_benchmarks()),
+    lambda: make_grid(5, 4, rng(6)),
+    lambda: make_girder("lumped", n_e=30), lambda: make_girder("consistent", n_e=30),
+    lambda: scramble_nodes(make_cantilever(12), rng(7)),
+], ids=[*(case.name for case in build_benchmarks()), "grid-85",
+        "girder-30-lumped", "girder-30-consistent", "scrambled"])
+def test_batched_patterns_equal_the_per_element_oracle(build):
+    # On these members R' k R comes out exactly symmetric, so symmetrizing
+    # changes nothing and the batched construction repeats the per-element
+    # arithmetic bit for bit.
+    asm = FrameAssembly(build())
+    for new, old in zip((asm.ka, asm.kb, asm.f0, asm.f1), element_patterns_oracle(build())):
+        assert same_bits(new, old)
+
+
+def test_patterns_exactly_symmetric_at_general_angles():
+    gs = jitter_nodes(make_grid(25, 20, rng(11)), rng(12))
+    asm = FrameAssembly(gs)
+    assert gs.n_elements >= 2000
+    for new, old in zip((asm.ka, asm.kb), element_patterns_oracle(gs)):
+        assert np.any(old != old.transpose(0, 2, 1))     # the per-element product is not
+        assert np.array_equal(new, new.transpose(0, 2, 1))
+        rel = np.linalg.norm(new - old, axis=(1, 2)) / np.linalg.norm(old, axis=(1, 2))
+        assert np.max(rel) <= 2e-16
 
 
 def test_nodal_loads_independent_of_areas():

@@ -242,8 +242,9 @@ def test_rank_certificate_non_flat():
     assert report.rank_reduced == 5
     assert report.rank_full > report.rank_reduced
     assert not report.flat
-    m1 = moment_matrix(rel, y, order=1)
-    assert m1.shape == (5, 5)
+    # The graded basis puts M_1(y) in the leading block of M_2(y).
+    m1 = moment_matrix(rel, y)[:5, :5]
+    assert np.array_equal(m1[0, 1:], y[1:5]) and np.array_equal(m1[1:, 0], y[1:5])
     assert m1[0, 0] == pytest.approx(1.0)
 
 

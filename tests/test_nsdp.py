@@ -30,7 +30,7 @@ from frameopt.nsdp import (
     smallest_eigenpair,
 )
 
-from conftest import make_cantilever, make_girder, rng
+from conftest import make_cantilever, make_girder, make_skew_frame, rng
 
 PSD_TOL = 1e-8
 
@@ -252,7 +252,8 @@ def test_banded_eigenpair_block_diagonal():
     assert smallest_eigenpair(0.25, np.zeros(2), band)[:2] == (0.0, None)
 
 
-@pytest.mark.parametrize("gs", [make_cantilever(3), make_girder()], ids=["cantilever-3", "girder"])
+@pytest.mark.parametrize("gs", [make_cantilever(3), make_girder(), make_skew_frame(rng(8))],
+                         ids=["cantilever-3", "girder", "skew-frame"])
 def test_penalty_gradient_matches_central_differences(gs):
     # An infeasible point: c below the FEM compliance, so G has a negative
     # eigenvalue, and the volume above its bound, so both penalties act.
