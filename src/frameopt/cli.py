@@ -354,9 +354,16 @@ def _parse_areas(text: str, n_elements: int) -> np.ndarray:
     if values.size != n_elements:
         raise _UsageError(
             f"expected {n_elements} areas, got {values.size}")
+    if not np.all(np.isfinite(values)):
+        raise _UsageError("areas must be finite")
     if np.any(values < 0.0):
         raise _UsageError("areas must be non-negative")
     return values
+
+
+def _check_gap_tol(gap_tol: float) -> None:
+    if not (math.isfinite(gap_tol) and gap_tol >= 0.0):
+        raise _UsageError("--gap-tol must be non-negative and finite")
 
 
 def _cmd_analyze(args) -> int:
@@ -385,6 +392,7 @@ def _cmd_optimize(args) -> int:
         raise _UsageError("--eps must be non-negative")
     if args.order_max < 1:
         raise _UsageError("--order-max must be at least 1")
+    _check_gap_tol(args.gap_tol)
     gs, label = _resolve_problem(args.problem)
     settings = SolveSettings(eps=args.eps, zeta=args.zeta, eta=args.eta,
                              gap_tol=args.gap_tol, order_max=args.order_max)
@@ -399,6 +407,7 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_certify(args) -> int:
+    _check_gap_tol(args.gap_tol)
     gs, _ = _resolve_problem(args.problem)
     areas = _parse_areas(args.areas, gs.n_elements)
     volume = gs.assembly.volume(areas)
@@ -425,6 +434,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    _check_gap_tol(args.gap_tol)
     if args.case:
         try:
             cases = [benchmark_case(args.case)]

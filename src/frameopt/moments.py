@@ -17,7 +17,12 @@ monomials of degree <= 2r:
                 M_{r-1}(P y) >= 0                   (matrix localizer of the LMI)
                 y_0 = 1,
 
-all expressible in the dual SDP form the interior-point solver consumes.  The
+all expressible in the dual SDP form the interior-point solver consumes.
+Every block is one localizing matrix M_{r-d}(p y), built by one function
+(_localizer): p = 1 with d = 0 gives the moment matrix, p = g_j a scalar
+localizer, and p = P(x) the matrix localizer (Henrion & Lasserre, IEEE TAC
+51, 2006), with d = 1 as every g_j and P has degree <= 2.  Its entries keep
+one fixed order, since the rigorous bound sums them in that order.  The
 solver is handed that problem as it stands, y_0 = 1 included, and eliminates
 the equality in its own presolve; solutions come back in full moment
 coordinates.  Every dual iterate proves a lower bound on the global
@@ -57,10 +62,6 @@ PLATEAU_ITERS = 2       # iterates over which a plateaued bound has not risen ..
 PLATEAU_RTOL = 1e-5     # ... by more than this, relative
 
 Exponent = tuple[int, ...]
-
-
-def _add(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def _unit(n: int, i: int, power: int = 1) -> Exponent:
@@ -254,6 +255,32 @@ class Relaxation:
         return _BoundTerms(weighted, traces, count, gamma, groups)
 
 
+def _localizer(y_basis: MonomialBasis, basis: MonomialBasis,
+               poly: dict[Exponent, np.typing.ArrayLike]) -> SdpBlock:
+    """The localizing matrix M(p y) on `basis` as one SDP block's upper triangle.
+
+    p = sum_delta P_delta x^delta has J x J coefficients P_delta; cell
+    (beta, gamma) of M(p y), rows beta * J + s and columns gamma * J + t, is
+    sum_delta P_delta y_{beta + gamma + delta}.  Entries run cell by cell over
+    the upper triangle of cells, row-major, then delta in dict order, then the
+    nonzero (s, t) of P_delta row-major, with only s <= t on a diagonal cell.
+    lower_bound's per-variable bincount sums and bound_terms add them up in
+    that order, so the order fixes their roundoff.
+    """
+    mats = np.array(list(poly.values()), dtype=float)
+    which, s, t = np.nonzero(mats)  # delta, then (s, t) row-major
+    bpos, gpos = np.triu_indices(len(basis))
+    exps = np.array(basis.exponents)
+    shifted = (exps[bpos] + exps[gpos])[:, None, :] + np.array(list(poly))
+    yvar = np.array([y_basis.index[alpha] for alpha in map(
+        tuple, shifted.reshape(-1, basis.n).tolist())]).reshape(bpos.size, len(mats))
+    cell, k = np.nonzero((bpos != gpos)[:, None] | (s <= t))  # kept (cell, entry) pairs
+    J = mats.shape[1]
+    size = J * len(basis)
+    return SdpBlock(size, np.zeros((size, size)), yvar[cell, which[k]],
+                    J * bpos[cell] + s[k], J * gpos[cell] + t[k], mats[which, s, t][k])
+
+
 def build_relaxation(sp: ScaledProblem, r: int) -> Relaxation:
     """Assemble the order-r SDP: moment block, localizers, PMI block, y0 = 1."""
     if r < 1:
@@ -262,68 +289,17 @@ def build_relaxation(sp: ScaledProblem, r: int) -> Relaxation:
     yb = monomial_basis(n, 2 * r)
     mb = monomial_basis(n, r)
     lb = monomial_basis(n, r - 1)
-    yix = yb.index
-
-    blocks: list[SdpBlock] = []
-    names: list[str] = []
-
-    var, row, col = [], [], []
-    for bpos, beta in enumerate(mb.exponents):
-        for gpos in range(bpos, len(mb)):
-            var.append(yix[_add(beta, mb.exponents[gpos])])
-            row.append(bpos)
-            col.append(gpos)
-    blocks.append(SdpBlock(len(mb), np.zeros((len(mb), len(mb))),
-                           np.array(var), np.array(row), np.array(col),
-                           np.ones(len(var))))
-    names.append(f"moment-M{r}")
-
+    blocks = [_localizer(yb, mb, {(0,) * n: [[1.0]]})]
+    names = [f"moment-M{r}"]
     for name, poly in sp.scalar_constraints:
-        var, row, col, val = [], [], [], []
-        for bpos, beta in enumerate(lb.exponents):
-            for gpos in range(bpos, len(lb)):
-                base = _add(beta, lb.exponents[gpos])
-                for delta, c in poly.items():
-                    var.append(yix[_add(base, delta)])
-                    row.append(bpos)
-                    col.append(gpos)
-                    val.append(c)
-        blocks.append(SdpBlock(len(lb), np.zeros((len(lb), len(lb))),
-                               np.array(var), np.array(row), np.array(col),
-                               np.array(val)))
+        blocks.append(_localizer(yb, lb, {delta: [[c]] for delta, c in poly.items()}))
         names.append(f"localizer-{name}")
-
-    # PMI localizer in basis-major layout: flat index beta * J + s.  For
-    # beta < gamma every (s, t) lands in the upper triangle; on the diagonal
-    # cell only s <= t does.
-    J = sp.pmi_size
-    full_trip, diag_trip = [], []
-    for delta, mat in sp.pmi.items():
-        s_all, t_all = np.nonzero(mat)
-        full_trip.append((delta, s_all, t_all, mat[s_all, t_all]))
-        s_up, t_up = np.nonzero(np.triu(mat))
-        diag_trip.append((delta, s_up, t_up, mat[s_up, t_up]))
-    var, row, col, val = [], [], [], []
-    for bpos, beta in enumerate(lb.exponents):
-        for gpos in range(bpos, len(lb)):
-            base = _add(beta, lb.exponents[gpos])
-            roff, coff = bpos * J, gpos * J
-            for delta, s_, t_, v_ in (diag_trip if gpos == bpos else full_trip):
-                yv = yix[_add(base, delta)]
-                for s, t, v in zip(s_, t_, v_):
-                    var.append(yv)
-                    row.append(roff + s)
-                    col.append(coff + t)
-                    val.append(v)
-    size = J * len(lb)
-    blocks.append(SdpBlock(size, np.zeros((size, size)),
-                           np.array(var), np.array(row), np.array(col),
-                           np.array(val)))
+    blocks.append(_localizer(yb, lb, sp.pmi))
     names.append("localizer-pmi")
 
     b = np.zeros(len(yb))
     for alpha, c in sp.objective.items():
-        b[yix[alpha]] += c
+        b[yb.index[alpha]] += c
     e = np.zeros((1, len(yb)))
     e[0, 0] = 1.0  # the constant monomial is first: y_0 = 1
     problem = SdpProblem(b, blocks, e, np.ones(1))
@@ -431,16 +407,13 @@ def lower_bound(rel: Relaxation, z: list[np.ndarray]) -> float:
 
 
 def moment_matrix(rel: Relaxation, y: np.ndarray) -> np.ndarray:
-    """Dense M_r(y) at the relaxation's order r.
+    """Dense M_r(y) at the relaxation's order r, read off its first block.
 
     The basis is graded, so M_s(y) of a lower order s is its leading block.
     """
-    basis = rel.moment_basis
-    yix = rel.y_basis.index
-    out = np.zeros((len(basis), len(basis)))
-    for i, alpha in enumerate(basis.exponents):
-        for j in range(i, len(basis)):
-            out[i, j] = out[j, i] = y[yix[_add(alpha, basis.exponents[j])]]
+    blk = rel.problem.blocks[0]
+    out = np.zeros((blk.n, blk.n))
+    out[blk.row, blk.col] = out[blk.col, blk.row] = y[blk.var]
     return out
 
 

@@ -31,6 +31,8 @@ def render_svg(gs: GroundStructure, areas, eps: float = OcConfig.eps) -> str:
     areas = np.asarray(areas, dtype=float)
     if areas.shape != (gs.n_elements,):
         raise ValueError(f"expected {gs.n_elements} areas, got {areas.shape}")
+    if not np.all(np.isfinite(areas)):
+        raise ValueError("areas must be finite")
     xs = np.array([n.x for n in gs.nodes])
     ys = np.array([n.y for n in gs.nodes])
     span = max(float(xs.max() - xs.min()), float(ys.max() - ys.min()), 1e-9)

@@ -17,7 +17,7 @@ import pytest
 from scipy.linalg import cholesky, eigvalsh, solve_triangular
 
 import frameopt
-from frameopt import problems
+from frameopt import moments, problems
 from frameopt.analysis import ReducedSystem
 from frameopt.model import (
     CIRCLE_SECTION,
@@ -364,3 +364,79 @@ def make_skew_frame(gen: np.random.Generator) -> GroundStructure:
     general angle, under random nodal loads and a consistent self-weight."""
     gs = jitter_nodes(make_grid(2, 1, gen), gen)
     return dataclasses.replace(gs, loads=gs.loads + (SelfWeight(2.0, 1.0, "consistent"),))
+
+
+def _exp_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def relaxation_blocks_oracle(sp, r):
+    """The order-r relaxation's blocks, built one triplet at a time: the
+    moment block, one localizer per scalar constraint, the PMI localizer.
+
+    Entries come cell by cell over the upper triangle of cells, then by
+    exponent offset, then by coefficient entry row-major: the reference for
+    moments._localizer, entry order included.  Unlike it, a zero-valued
+    scalar coefficient keeps its entries.
+    """
+    n = sp.n_vars
+    yix = moments.monomial_basis(n, 2 * r).index
+    mb = moments.monomial_basis(n, r).exponents
+    lb = moments.monomial_basis(n, r - 1).exponents
+
+    var, row, col = [], [], []
+    for bpos, beta in enumerate(mb):
+        for gpos in range(bpos, len(mb)):
+            var.append(yix[_exp_add(beta, mb[gpos])])
+            row.append(bpos)
+            col.append(gpos)
+    blocks = [SdpBlock(len(mb), np.zeros((len(mb), len(mb))), np.array(var),
+                       np.array(row), np.array(col), np.ones(len(var)))]
+
+    for _, poly in sp.scalar_constraints:
+        var, row, col, val = [], [], [], []
+        for bpos, beta in enumerate(lb):
+            for gpos in range(bpos, len(lb)):
+                base = _exp_add(beta, lb[gpos])
+                for delta, c in poly.items():
+                    var.append(yix[_exp_add(base, delta)])
+                    row.append(bpos)
+                    col.append(gpos)
+                    val.append(c)
+        blocks.append(SdpBlock(len(lb), np.zeros((len(lb), len(lb))), np.array(var),
+                               np.array(row), np.array(col), np.array(val)))
+
+    J = sp.pmi_size
+    full_trip, diag_trip = [], []
+    for delta, mat in sp.pmi.items():
+        s_all, t_all = np.nonzero(mat)
+        full_trip.append((delta, s_all, t_all, mat[s_all, t_all]))
+        s_up, t_up = np.nonzero(np.triu(mat))
+        diag_trip.append((delta, s_up, t_up, mat[s_up, t_up]))
+    var, row, col, val = [], [], [], []
+    for bpos, beta in enumerate(lb):
+        for gpos in range(bpos, len(lb)):
+            base = _exp_add(beta, lb[gpos])
+            for delta, s_, t_, v_ in (diag_trip if gpos == bpos else full_trip):
+                yv = yix[_exp_add(base, delta)]
+                for s, t, v in zip(s_, t_, v_):
+                    var.append(yv)
+                    row.append(bpos * J + s)
+                    col.append(gpos * J + t)
+                    val.append(v)
+    size = J * len(lb)
+    blocks.append(SdpBlock(size, np.zeros((size, size)), np.array(var), np.array(row),
+                           np.array(col), np.array(val)))
+    return blocks
+
+
+def moment_matrix_oracle(sp, r, y):
+    """Dense M_r(y), entry by entry from the monomial basis."""
+    n = sp.n_vars
+    yix = moments.monomial_basis(n, 2 * r).index
+    mb = moments.monomial_basis(n, r).exponents
+    out = np.zeros((len(mb), len(mb)))
+    for i, alpha in enumerate(mb):
+        for j in range(i, len(mb)):
+            out[i, j] = out[j, i] = y[yix[_exp_add(alpha, mb[j])]]
+    return out

@@ -69,6 +69,42 @@ def test_nonpositive_eta_is_usage_error(option, value, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["-1", "-1e-9", "nan", "inf"])
+@pytest.mark.parametrize("command", [
+    ["optimize", "cantilever-1", "--method", "po"],
+    ["certify", "cantilever-1", "--areas", "0.1", "--order", "1"],
+    ["bench", "--case", "cantilever-1", "--methods", "po"]])
+def test_bad_gap_tol_is_usage_error(command, value, tmp_path, capsys, monkeypatch):
+    # A negative gap tolerance calls a consistent bound pair failed, and a
+    # NaN one can never certify: both are refused before any solve.
+    monkeypatch.setattr(cli, "solve_relaxation", None)
+    monkeypatch.setattr(cli, "run_hierarchy", None)
+    out = tmp_path / "bench"
+    argv = command + ["--out", str(out)] if command[0] == "bench" else command
+    assert main(argv + [f"--gap-tol={value}"]) == EXIT_USAGE
+    assert "--gap-tol must be non-negative and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_zero_gap_tol_is_accepted(capsys):
+    code = main(["certify", "cantilever-1", "--areas", "0.1", "--order", "1", "--gap-tol", "0"])
+    assert code == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["r"] == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "certify", "render"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_areas_are_usage_errors(command, bad, tmp_path, capsys):
+    # NaN passes a sign check and inf leaves every other member at width 0;
+    # neither reaches a solve or a drawing.
+    out = tmp_path / "design.svg"
+    argv = [command, "cantilever-3", "--areas", f"0.1,{bad},0.05"]
+    argv += {"certify": ["--order", "1"], "render": ["--out", str(out)]}.get(command, [])
+    assert main(argv) == EXIT_USAGE
+    assert "areas must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_wrong_area_count_is_usage_error(capsys):
     assert main(["analyze", "cantilever-3", "--areas", "0.1"]) == EXIT_USAGE
 

@@ -6,7 +6,17 @@ import math
 import numpy as np
 import pytest
 
-from conftest import make_cantilever, make_girder, pmi_at, rng, run_python, substitute_y0
+from conftest import (
+    make_cantilever,
+    make_girder,
+    make_ten_beam,
+    moment_matrix_oracle,
+    pmi_at,
+    relaxation_blocks_oracle,
+    rng,
+    run_python,
+    substitute_y0,
+)
 from frameopt import moments
 from frameopt.analysis import compliance
 from frameopt.model import GroundStructure
@@ -25,7 +35,7 @@ from frameopt.moments import (
     solve_relaxation,
 )
 from frameopt import sdp
-from frameopt.sdp import _Presolve, solve_sdp
+from frameopt.sdp import SdpBlock, _Presolve, solve_sdp
 
 PSD_TOL = 1e-8
 # Frozen local-solver reference for the three-element cantilever.
@@ -135,6 +145,48 @@ def test_block_layout_single_element_cantilever():
         build_relaxation(sp, 0)
 
 
+def _assert_blocks_equal(got, want):
+    assert len(got) == len(want)
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert g.n == w.n, k
+        for name in ("c", "var", "row", "col", "val"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b), (k, name)
+
+
+@pytest.mark.parametrize("gs, r_max", [
+    (make_cantilever(1), 3), (make_cantilever(3), 3), (make_cantilever(5), 3),
+    (make_cantilever(7), 2), (make_ten_beam(), 2), (make_girder(), 3)],
+    ids=lambda v: getattr(v, "name", None))
+def test_blocks_equal_the_triplet_oracle(gs, r_max):
+    # One localizing-matrix builder makes every block with the arrays, entry
+    # order included, of the triplet-at-a-time reference, so the solver and
+    # the bound's sums see the same SDP bit for bit.  The moment matrix is
+    # read off the moment block.
+    sp = scale_problem(gs)
+    for r in range(1, r_max + 1):
+        rel = build_relaxation(sp, r)
+        _assert_blocks_equal(rel.problem.blocks, relaxation_blocks_oracle(sp, r))
+        y = rng(r).standard_normal(rel.n_moments)
+        assert np.array_equal(moment_matrix(rel, y), moment_matrix_oracle(sp, r, y))
+
+
+def test_zero_coefficients_leave_no_entries():
+    # The two-element cantilever's volume constant 2 - n_e is exactly 0: its
+    # localizer drops the zero-valued entries the triplet reference keeps,
+    # one per cell, and nothing else differs.
+    sp = scale_problem(make_cantilever(2))
+    assert sp.scalar_constraints[0][1][(0,) * sp.n_vars] == 0.0
+    for r in (1, 2):
+        got, want = build_relaxation(sp, r).problem.blocks, relaxation_blocks_oracle(sp, r)
+        volume = want[1]
+        nonzero = volume.val != 0.0
+        assert np.count_nonzero(~nonzero) == volume.n * (volume.n + 1) // 2
+        want[1] = SdpBlock(volume.n, volume.c, volume.var[nonzero], volume.row[nonzero],
+                           volume.col[nonzero], volume.val[nonzero])
+        _assert_blocks_equal(got, want)
+
+
 def test_solve_relaxation_leaves_y0_to_the_solver(cantilever3, girder, monkeypatch):
     # solve_relaxation hands the solver its problem unchanged, y_0 = 1
     # included; the solver's presolve removes that equality with exactly the
@@ -157,11 +209,7 @@ def test_solve_relaxation_leaves_y0_to_the_solver(cantilever3, girder, monkeypat
         got, want = _Presolve(problem).problem, substitute_y0(problem)
         assert got.e.shape == (0, problem.m - 1)
         assert np.array_equal(got.b, want.b)
-        assert len(got.blocks) == len(want.blocks)
-        for g, w in zip(got.blocks, want.blocks):
-            for name in ("c", "var", "row", "col", "val"):
-                a, b = getattr(g, name), getattr(w, name)
-                assert a.dtype == b.dtype and np.array_equal(a, b), name
+        _assert_blocks_equal(got.blocks, want.blocks)
 
 
 @pytest.mark.parametrize("fixture", ["cantilever3", "ten_beam", "girder"])

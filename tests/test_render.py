@@ -90,3 +90,9 @@ def test_output_is_deterministic(tmp_path):
 def test_wrong_area_count_rejected():
     with pytest.raises(ValueError, match="expected 3 areas"):
         render_svg(make_cantilever(3), [0.1, 0.1])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_areas_raise(bad):
+    with pytest.raises(ValueError, match="areas must be finite"):
+        render_svg(make_cantilever(3), [0.1, bad, 0.05])
