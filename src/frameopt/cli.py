@@ -82,7 +82,8 @@ class SolveSettings:
 
 @dataclass
 class MethodResult:
-    """One method's outcome on one problem, ready for reporting."""
+    """One method's outcome on one problem, ready for reporting: `iterations`
+    to `diagnostics` are the solver's run record, unset on an error."""
 
     method: str
     status: str
@@ -94,12 +95,10 @@ class MethodResult:
     orders: list[dict] = field(default_factory=list)
     verified_compliance: float | None = None
     message: str = ""
-    iterations: int | None = None   # local methods only
-    reason: str | None = None       # local methods only: why the solver stopped
-    phase_s: dict | None = None     # local methods only: {"fem": s, "rest": s}
-    evaluations: int | None = None  # nsdp only: penalty evaluations
-    eig_solves: int | None = None   # nsdp only: banded factorizations in them
-    kkt_residual: float | None = None  # nlp only: scale-free KKT residual at exit
+    iterations: int | None = None
+    reason: str | None = None
+    phase_s: dict | None = None
+    diagnostics: dict = field(default_factory=dict)
 
     @property
     def exit_code(self) -> int:
@@ -129,9 +128,10 @@ class MethodResult:
                      else [float(a) for a in self.areas],
             "orders": self.orders,
             "iterations": self.iterations,
-            "evaluations": self.evaluations,
-            "eig_solves": self.eig_solves,
-            "kkt_residual": num(self.kkt_residual),
+            # The counts of the methods that keep them, null for the others.
+            "evaluations": self.diagnostics.get("evaluations"),
+            "eig_solves": self.diagnostics.get("eig_solves"),
+            "kkt_residual": num(self.diagnostics.get("kkt_residual")),
             "reason": self.reason,
             "phase_s": self.phase_s,
             "message": self.message,
@@ -160,48 +160,25 @@ def run_method(gs: GroundStructure, method: str,
     t0 = time.perf_counter()
     try:
         if method == "po":
-            hr = run_hierarchy(gs, r_max=cfg.order_max, gap_tol=cfg.gap_tol)
-            last = hr.certificates[-1] if hr.certificates else None
-            out = MethodResult(
-                method=method,
-                status=hr.status,
-                compliance=hr.compliance,
-                areas=hr.areas,
-                seconds=time.perf_counter() - t0,
-                gap=None if last is None or not math.isfinite(last.gap)
-                    else last.gap,
-                lower=hr.lower if math.isfinite(hr.lower) else None,
-                orders=_order_rows(hr),
-                message=_po_message(hr),
-            )
+            res = run_hierarchy(gs, r_max=cfg.order_max, gap_tol=cfg.gap_tol)
+        elif method == "oc":
+            res = run_oc(gs, OcConfig(eps=cfg.eps, zeta=cfg.zeta, eta=cfg.eta))
+        elif method == "nlp":
+            res = run_local_nlp(gs, eps=cfg.eps)
         else:
-            if method == "oc":
-                res = run_oc(gs, OcConfig(eps=cfg.eps, zeta=cfg.zeta, eta=cfg.eta))
-            elif method == "nlp":
-                res = run_local_nlp(gs, eps=cfg.eps)
-            elif cfg.nsdp_gentle:
-                res = run_nsdp_local(gs, rho_growth=math.sqrt(RHO_GROWTH))
-            else:
-                res = run_nsdp_local(gs)
-            out = MethodResult(
-                method=method,
-                status=res.status,
-                compliance=res.compliance,
-                areas=res.areas,
-                seconds=time.perf_counter() - t0,
-                message=f"{res.iterations} iterations",
-                iterations=res.iterations,
-                reason=res.reason,
-                phase_s=res.diagnostics["phase_s"],
-                evaluations=res.diagnostics.get("evaluations"),
-                eig_solves=res.diagnostics.get("eig_solves"),
-                kkt_residual=res.diagnostics.get("kkt_residual"),
-            )
+            res = run_nsdp_local(gs, rho_growth=math.sqrt(RHO_GROWTH) if cfg.nsdp_gentle
+                                 else RHO_GROWTH)
     except (SingularSystemError, DanglingLoadError, ModelError,
             BracketError) as exc:
         return MethodResult(method=method, status="error", compliance=None,
                             areas=None, seconds=time.perf_counter() - t0,
                             message=str(exc))
+    seconds = time.perf_counter() - t0
+    extra = _po_bounds(res) if method == "po" else {"message": f"{res.iterations} iterations"}
+    out = MethodResult(method=method, status=res.status, compliance=res.compliance,
+                       areas=res.areas, seconds=seconds, iterations=res.iterations,
+                       reason=res.reason, phase_s=res.phase_s, diagnostics=res.diagnostics,
+                       **extra)
     _verify(gs, out)
     return out
 
@@ -218,20 +195,21 @@ def _sdp_report(outcome: dict) -> dict:
     return {key: outcome[name] for name, key in _SDP_REPORT_KEYS.items()}
 
 
-def _order_rows(hr: HierarchyResult) -> list[dict]:
-    """Certificate rows, each with the SDP outcome of its order."""
+def _po_bounds(hr: HierarchyResult) -> dict:
+    """po's gap and kept lower bound; its certificate rows, each with the SDP
+    outcome of its order; and a message naming the orders skipped, led by a
+    note if none gave a design."""
+    last = hr.certificates[-1] if hr.certificates else None
     by_order = {o["r"]: o for o in hr.diagnostics["orders"]}
-    return [{**cert.report(), **_sdp_report(by_order[cert.order])}
-            for cert in hr.certificates]
-
-
-def _po_message(hr: HierarchyResult) -> str:
-    """The orders the hierarchy skipped, led by a note if none gave a design."""
-    notes = [f"order {o['r']} {o['status']}" for o in hr.diagnostics["orders"]
+    notes = [f"order {r} {o['status']}" for r, o in by_order.items()
              if o["status"].startswith("skipped")]
     if hr.compliance is None:
         notes.insert(0, "no order yielded a design")
-    return "; ".join(notes)
+    return {"gap": None if last is None or not math.isfinite(last.gap) else last.gap,
+            "lower": hr.lower if math.isfinite(hr.lower) else None,
+            "orders": [{**cert.report(), **_sdp_report(by_order[cert.order])}
+                       for cert in hr.certificates],
+            "message": "; ".join(notes)}
 
 
 def _verify(gs: GroundStructure, result: MethodResult) -> None:
@@ -366,6 +344,11 @@ def _check_gap_tol(gap_tol: float) -> None:
         raise _UsageError("--gap-tol must be non-negative and finite")
 
 
+def _check_eps(eps: float) -> None:
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise _UsageError("--eps must be non-negative and finite")
+
+
 def _cmd_analyze(args) -> int:
     gs, label = _resolve_problem(args.problem)
     areas = _parse_areas(args.areas, gs.n_elements)
@@ -388,8 +371,7 @@ def _cmd_optimize(args) -> int:
         raise _UsageError("--eta must be positive")
     if not 0.0 < args.zeta <= 1.0:
         raise _UsageError("--zeta must be in (0, 1]")
-    if not args.eps >= 0.0:
-        raise _UsageError("--eps must be non-negative")
+    _check_eps(args.eps)
     if args.order_max < 1:
         raise _UsageError("--order-max must be at least 1")
     _check_gap_tol(args.gap_tol)
@@ -462,6 +444,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_render(args) -> int:
+    _check_eps(args.eps)
     gs, _ = _resolve_problem(args.problem)
     areas = _parse_areas(args.areas, gs.n_elements)
     try:

@@ -12,14 +12,13 @@ crosses Vbar, and the root on that segment has a closed form.
 from __future__ import annotations
 
 import math
-import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from frameopt.analysis import SingularSystemError, compliance, compliance_gradient
 from frameopt.model import GroundStructure, require_valid, uniform_design
+from frameopt.sdp import PhaseClock
 
 
 class BracketError(RuntimeError):
@@ -55,39 +54,25 @@ KKT_STALL = 20
 
 @dataclass
 class LocalResult:
+    """One local run's design, and the run record of every method's result
+    (as moments.HierarchyResult): `status` (converged | iter-limit |
+    infeasible-point); `reason`, why the solver stopped ("criterion met",
+    "kkt residual met" (nlp), "iteration limit", "line search failed",
+    "step restarts exhausted", "singular system" or "infeasible point");
+    `iterations`; `phase_s`, the seconds in equilibrium solves ("fem") and
+    in everything else ("rest"); `diagnostics`, the solver's counts (nlp's
+    `kkt_residual`; nsdp's `evaluations`, `eig_solves` and `stages`)."""
+
     method: str
     areas: np.ndarray
     compliance: float | None
-    status: str                # converged | iter-limit | infeasible-point
+    status: str
     iterations: int
-    # Why the solver stopped: "criterion met", "kkt residual met" (nlp),
-    # "iteration limit", "line search failed", "step restarts exhausted",
-    # "singular system" or "infeasible point".
     reason: str
     history: list = field(default_factory=list)   # (volume, compliance, measure)
     stationarity: float | None = None
-    # Always holds "phase_s": {"fem": s, "rest": s}, the run's seconds in
-    # equilibrium solves and in everything else.
+    phase_s: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
-
-
-class PhaseClock:
-    """Splits one run's wall time into equilibrium solves ("fem") and the rest."""
-
-    def __init__(self):
-        self.start = time.perf_counter()
-        self.fem = 0.0
-
-    @contextmanager
-    def solving(self):
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.fem += time.perf_counter() - t0
-
-    def phase_s(self) -> dict:
-        return {"fem": self.fem, "rest": time.perf_counter() - self.start - self.fem}
 
 
 # -- optimality criteria ----------------------------------------------------
@@ -153,7 +138,7 @@ def oc_multiplier(a: np.ndarray, numerators: np.ndarray, lengths: np.ndarray,
 def run_oc(gs: GroundStructure, cfg: OcConfig | None = None) -> LocalResult:
     """Optimality-criteria iteration from the uniform design."""
     cfg = cfg or OcConfig()
-    clock = PhaseClock()
+    clock = PhaseClock(("fem", "rest"), "rest")
     asm = require_valid(gs)
     lengths = asm.lengths
     vbar = gs.volume_bound
@@ -166,8 +151,9 @@ def run_oc(gs: GroundStructure, cfg: OcConfig | None = None) -> LocalResult:
     measure = math.inf
     iterations = 0
     for iterations in range(1, OC_MAX_ITER + 1):
-        with clock.solving():
-            res = compliance(gs, a)
+        clock.start("fem")
+        res = compliance(gs, a)
+        clock.start("rest")
         numerators = res.energy_stiffness - res.energy_load
         mu = oc_multiplier(a, numerators, lengths, vbar, cfg)
         b = oc_b_factors(numerators, lengths, mu)
@@ -180,8 +166,9 @@ def run_oc(gs: GroundStructure, cfg: OcConfig | None = None) -> LocalResult:
             status, reason = "converged", "criterion met"
             break
 
-    with clock.solving():
-        final = compliance(gs, a)
+    clock.start("fem")
+    final = compliance(gs, a)
+    clock.start(None)
     return LocalResult(
         method="oc",
         areas=a,
@@ -191,7 +178,7 @@ def run_oc(gs: GroundStructure, cfg: OcConfig | None = None) -> LocalResult:
         reason=reason,
         history=history,
         stationarity=measure,
-        diagnostics={"phase_s": clock.phase_s()},
+        phase_s=clock.seconds,
     )
 
 
@@ -265,7 +252,7 @@ def run_local_nlp(gs: GroundStructure, eps: float = OcConfig.eps) -> LocalResult
     ``kkt_residual`` is at most KKT_TOL and the measure has made no new low
     for KKT_STALL iterations.
     """
-    clock = PhaseClock()
+    clock = PhaseClock(("fem", "rest"), "rest")
     asm = require_valid(gs)
     lengths = asm.lengths
     vbar = gs.volume_bound
@@ -273,8 +260,11 @@ def run_local_nlp(gs: GroundStructure, eps: float = OcConfig.eps) -> LocalResult
         raise BracketError("volume bound below the minimum-area floor")
 
     def fval(a):
-        with clock.solving():
+        clock.start("fem")
+        try:
             return compliance(gs, a)
+        finally:
+            clock.start("rest")
 
     a = project_design(uniform_design(gs), lengths, vbar, eps)
     res = fval(a)
@@ -349,6 +339,7 @@ def run_local_nlp(gs: GroundStructure, eps: float = OcConfig.eps) -> LocalResult
         f_hist.append(res.compliance)
 
     # Every way out of the loop leaves res the solve of a.
+    clock.start(None)
     return LocalResult(
         method="nlp",
         areas=a,
@@ -358,6 +349,6 @@ def run_local_nlp(gs: GroundStructure, eps: float = OcConfig.eps) -> LocalResult
         reason=reason,
         history=history,
         stationarity=stat,
-        diagnostics={"phase_s": clock.phase_s(),
-                     "kkt_residual": kkt_residual(grad, a, lengths, eps)},
+        phase_s=clock.seconds,
+        diagnostics={"kkt_residual": kkt_residual(grad, a, lengths, eps)},
     )

@@ -230,7 +230,6 @@ class Relaxation:
     sp: ScaledProblem
     order: int
     y_basis: MonomialBasis          # b_{2r}: one SDP variable per entry
-    moment_basis: MonomialBasis     # b_r
     localizer_basis: MonomialBasis  # b_{r-1}
     problem: SdpProblem
     block_names: list[str]
@@ -287,9 +286,8 @@ def build_relaxation(sp: ScaledProblem, r: int) -> Relaxation:
         raise ValueError("relaxation order must be >= 1")
     n = sp.n_vars
     yb = monomial_basis(n, 2 * r)
-    mb = monomial_basis(n, r)
     lb = monomial_basis(n, r - 1)
-    blocks = [_localizer(yb, mb, {(0,) * n: [[1.0]]})]
+    blocks = [_localizer(yb, monomial_basis(n, r), {(0,) * n: [[1.0]]})]
     names = [f"moment-M{r}"]
     for name, poly in sp.scalar_constraints:
         blocks.append(_localizer(yb, lb, {delta: [[c]] for delta, c in poly.items()}))
@@ -303,7 +301,7 @@ def build_relaxation(sp: ScaledProblem, r: int) -> Relaxation:
     e = np.zeros((1, len(yb)))
     e[0, 0] = 1.0  # the constant monomial is first: y_0 = 1
     problem = SdpProblem(b, blocks, e, np.ones(1))
-    return Relaxation(sp, r, yb, mb, lb, problem, names)
+    return Relaxation(sp, r, yb, lb, problem, names)
 
 
 @dataclass
@@ -533,11 +531,21 @@ def gap_certificate(lower: float, upper: float, gap_tol: float = GAP_TOL,
 
 @dataclass
 class HierarchyResult:
+    """The orders' certificates, the best design and kept lower bound, and
+    the run record of every method's result (as local.LocalResult):
+    `status` (certified-optimal | bounded | failed); `reason`, the last
+    order's SDP reason or skip text; `iterations` and `phase_s`, the SDP
+    iterations and phase seconds summed over the orders run; `diagnostics`
+    (`c_hat`, the `orders` rows, `monotonicity_violations`)."""
+
     certificates: list[Certificate]
     areas: np.ndarray | None
     compliance: float | None
     lower: float
-    status: str  # certified-optimal | bounded | failed
+    status: str
+    reason: str | None
+    iterations: int
+    phase_s: dict
     diagnostics: dict
 
 
@@ -586,6 +594,12 @@ def run_hierarchy(gs: GroundStructure, r_max: int = 3,
         status = "bounded"
     else:
         status = "failed"
-    return HierarchyResult(certs, best_a,
-                           None if best_a is None else best_c,
-                           best_lower, status, diag)
+    # The run record, from the rows of the orders run; a skipped row, always
+    # the last, has only its status.
+    rows = diag["orders"]
+    ran = [o for o in rows if "reason" in o]
+    reason = rows[-1].get("reason", rows[-1]["status"]) if rows else None
+    iterations = sum(o["sdp_iterations"] for o in ran)
+    phase_s = {k: sum(o["phase_s"][k] for o in ran) for k in (ran[0]["phase_s"] if ran else ())}
+    return HierarchyResult(certs, best_a, None if best_a is None else best_c, best_lower,
+                           status, reason, iterations, phase_s, diag)

@@ -49,8 +49,9 @@ from scipy.linalg import eigvalsh
 from scipy.linalg.lapack import dpbsv
 
 from frameopt import analysis
-from frameopt.local import LocalResult, PhaseClock, project_design
+from frameopt.local import LocalResult, project_design
 from frameopt.model import FrameAssembly, GroundStructure, require_valid, uniform_design
+from frameopt.sdp import PhaseClock
 
 
 class IncompatibleLoadError(ValueError):
@@ -359,7 +360,15 @@ def run_nsdp_local(gs: GroundStructure, rho_growth: float = RHO_GROWTH) -> Local
     diagnostics count the penalty ``evaluations`` and the banded
     factorizations in them, ``eig_solves``.
     """
-    clock = PhaseClock()
+    clock = PhaseClock(("fem", "rest"), "rest")
+    result = _penalty_path(gs, rho_growth, clock)
+    clock.start(None)
+    result.phase_s = clock.seconds
+    return result
+
+
+def _penalty_path(gs: GroundStructure, rho_growth: float, clock: PhaseClock) -> LocalResult:
+    """run_nsdp_local's run, its equilibrium solves timed as `fem` on `clock`."""
     asm = require_valid(gs)
     lengths = asm.lengths
     vbar = gs.volume_bound
@@ -368,14 +377,14 @@ def run_nsdp_local(gs: GroundStructure, rho_growth: float = RHO_GROWTH) -> Local
     a0 = SHRINK * uniform_design(gs)
     if asm.free.size == 0:      # every DOF supported: G(a, c) = [c], least c = 0
         return LocalResult(method="nsdp", areas=a0, compliance=0.0, status="converged",
-                           iterations=0, reason="criterion met",
-                           diagnostics={"phase_s": clock.phase_s()})
+                           iterations=0, reason="criterion met")
     # c0 sets the start point and the scaling D, and the penalty path hangs
     # on roundoff, so c0 keeps its dense solve: ``analysis.compliance``, up
     # to 2e-12 relative away, alone moves some runs to another end point.
-    with clock.solving():
-        f_hat = asm.loads(a0)[asm.free]
-        c0 = C_MARGIN * float(f_hat @ np.linalg.solve(asm.stiffness(a0), f_hat))
+    clock.start("fem")
+    f_hat = asm.loads(a0)[asm.free]
+    c0 = C_MARGIN * float(f_hat @ np.linalg.solve(asm.stiffness(a0), f_hat))
+    clock.start("rest")
     x = np.concatenate([a0, [c0]])
     phi = NsdpPenalty(gs, a0, c0)
 
@@ -435,20 +444,16 @@ def run_nsdp_local(gs: GroundStructure, rho_growth: float = RHO_GROWTH) -> Local
         evaluations=phi.evaluations, eig_solves=phi.eig_solves,
         min_eigenvalue=lam, eigenvalue_scale=scale, volume_residual=vol_resid,
         negative_area=float(max(0.0, -np.min(x[:ne]))), c_variable=c)
-    if not feasible:
-        diagnostics["phase_s"] = clock.phase_s()
-        return LocalResult(method="nsdp", areas=a, compliance=None,
-                           status="infeasible-point", iterations=len(history),
-                           reason="infeasible point", history=history,
-                           stationarity=None, diagnostics=diagnostics)
-    # The penalty leaves a volume residual of up to 1e-5 * Vbar; project
-    # onto the volume face so the reported design meets the bound, then
-    # report its equilibrium compliance.
-    a = project_design(a, lengths, vbar, 0.0)
-    with clock.solving():
+    status, reason, c_fem = "infeasible-point", "infeasible point", None
+    if feasible:
+        # The penalty leaves a volume residual of up to 1e-5 * Vbar; project
+        # onto the volume face so the reported design meets the bound, then
+        # report its equilibrium compliance.
+        a = project_design(a, lengths, vbar, 0.0)
+        clock.start("fem")
         c_fem = analysis.compliance(gs, a).compliance
-    diagnostics["phase_s"] = clock.phase_s()
-    return LocalResult(method="nsdp", areas=a, compliance=c_fem,
-                       status="converged", iterations=len(history),
-                       reason="criterion met", history=history,
-                       stationarity=None, diagnostics=diagnostics)
+        clock.start("rest")
+        status, reason = "converged", "criterion met"
+    return LocalResult(method="nsdp", areas=a, compliance=c_fem, status=status,
+                       iterations=len(history), reason=reason, history=history,
+                       diagnostics=diagnostics)

@@ -33,6 +33,8 @@ def render_svg(gs: GroundStructure, areas, eps: float = OcConfig.eps) -> str:
         raise ValueError(f"expected {gs.n_elements} areas, got {areas.shape}")
     if not np.all(np.isfinite(areas)):
         raise ValueError("areas must be finite")
+    if not (np.isfinite(eps) and eps >= 0.0):
+        raise ValueError("eps must be non-negative and finite")
     xs = np.array([n.x for n in gs.nodes])
     ys = np.array([n.y for n in gs.nodes])
     span = max(float(xs.max() - xs.min()), float(ys.max() - ys.min()), 1e-9)

@@ -358,14 +358,13 @@ def _unstack(stacks: list[_Stack], mats: list[np.ndarray]) -> list[np.ndarray]:
     return out
 
 
-class _PhaseClock:
-    """Wall time per solver phase; elapsed time goes to the phase started last."""
+class PhaseClock:
+    """Wall time per named phase; elapsed time goes to the phase started
+    last (`phase` from the start), or to none after ``start(None)``."""
 
-    PHASES = ("scaling", "schur", "factor", "step", "metrics")
-
-    def __init__(self):
-        self.seconds = dict.fromkeys(self.PHASES, 0.0)
-        self._phase: str | None = None
+    def __init__(self, phases: tuple[str, ...], phase: str | None = None):
+        self.seconds = dict.fromkeys(phases, 0.0)
+        self._phase = phase
         self._since = time.perf_counter()
 
     def start(self, phase: str | None) -> None:
@@ -525,7 +524,7 @@ def _interior_point(p: SdpProblem, callback=None) -> SdpSolution:
     y, s_mats, z_mats = _start(p, stacks)
     history = []
     status, reason = "numerical-failure", "iteration limit"
-    clock = _PhaseClock()
+    clock = PhaseClock(("scaling", "schur", "factor", "step", "metrics"))
     for it in range(1, MAX_ITER + 1):
         clock.start("metrics")
         rp, rd, row = _measure(p, stacks, n_total, y, s_mats, z_mats)
@@ -615,7 +614,7 @@ def _measure(p: SdpProblem, stacks: list[_Stack], n_total: int, y, s_mats, z_mat
         "rel_psd_violation": psd_viol}
 
 
-def _schur_factor(stacks: list[_Stack], factors: list, m: int, clock: _PhaseClock):
+def _schur_factor(stacks: list[_Stack], factors: list, m: int, clock: PhaseClock):
     """Cholesky factor of the Schur matrix <A_i, W^-1 A_v W^-1>; the build
     counts as phase `schur`, the factorization as `factor`."""
     clock.start("schur")

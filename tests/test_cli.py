@@ -20,10 +20,11 @@ from frameopt.cli import (
     run_benchmark,
     run_method,
 )
-from frameopt.local import OcConfig
+from frameopt.local import OcConfig, run_local_nlp
 from frameopt.model import ModelError
 from frameopt.moments import build_relaxation, scale_problem
-from frameopt.problems import benchmark_case, cantilever
+from frameopt.nsdp import run_nsdp_local
+from frameopt.problems import benchmark_case, cantilever, packaged_problem
 from frameopt.sdp import _BlockData, _Presolve
 
 from conftest import run_python, save_problem
@@ -59,6 +60,8 @@ def test_missing_problem_is_usage_error(capsys):
     pytest.param("--zeta", "-0.5", "--zeta must be in (0, 1]", id="zeta-negative"),
     pytest.param("--zeta", "1.5", "--zeta must be in (0, 1]", id="zeta-above-1"),
     pytest.param("--eps", "-0.01", "--eps must be non-negative", id="eps-negative"),
+    # An infinite area floor would also reach the SVG of a --out report.
+    pytest.param("--eps", "inf", "--eps must be non-negative and finite", id="eps-inf"),
     pytest.param("--order-max", "0", "--order-max must be at least 1", id="order-max-0"),
     pytest.param("--order-max", "-2", "--order-max must be at least 1", id="order-max-negative"),
 ])
@@ -163,12 +166,17 @@ def test_optimize_reports_counts_next_to_iterations(tmp_path):
                      "--out", str(out)]) == EXIT_OK
         return json.loads((out / "cantilever-3.json").read_text())["results"][0]
 
+    gs = packaged_problem("cantilever-3")
     nsdp = report("nsdp")
     assert nsdp["evaluations"] >= nsdp["iterations"] > 0
     assert nsdp["eig_solves"] >= nsdp["evaluations"]
     assert nsdp["kkt_residual"] is None
+    counts = run_nsdp_local(gs).diagnostics
+    assert (nsdp["evaluations"], nsdp["eig_solves"]) == \
+        (counts["evaluations"], counts["eig_solves"])
     nlp = report("nlp")
     assert 0.0 <= nlp["kkt_residual"] <= 1e-6
+    assert nlp["kkt_residual"] == run_local_nlp(gs).diagnostics["kkt_residual"]
     assert nlp["evaluations"] is None and nlp["eig_solves"] is None
     oc = report("oc")
     assert (oc["evaluations"], oc["eig_solves"], oc["kkt_residual"]) == (None, None, None)
@@ -251,6 +259,15 @@ def test_render_writes_svg(tmp_path, capsys):
     assert text.startswith("<svg ") and text.count("<line ") == 5
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf", "-1e-9"])
+def test_render_bad_eps_is_usage_error(bad, tmp_path, capsys):
+    out = tmp_path / "design.svg"
+    assert main(["render", "cantilever-3", "--areas", "0.1,0.1,0.05",
+                 "--out", str(out), f"--eps={bad}"]) == EXIT_USAGE
+    assert "--eps must be non-negative and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bench_single_case_writes_reports(tmp_path, capsys):
     out = tmp_path / "bench"
     code = main(["bench", "--case", "cantilever-1", "--out", str(out)])
@@ -312,14 +329,28 @@ def test_run_method_po_reports_orders():
     assert all(t >= 0.0 for t in row["phase_s"].values())
     assert sum(row["phase_s"].values()) > 0.0
     report = json.loads(json.dumps(result.to_dict()))
-    assert report["iterations"] is None
-    assert report["reason"] is None
-    assert report["phase_s"] is None
+    assert report["iterations"] == row["sdp_iterations"]
+    assert report["reason"] == row["sdp_reason"]
+    assert report["phase_s"] == row["phase_s"]
     assert report["orders"][0]["phase_s"] == row["phase_s"]
     p = _Presolve(build_relaxation(scale_problem(gs), 1).problem).problem
     flops = sum(_BlockData(blk, p.m).flops for blk in p.blocks)
     assert row["schur_gflop"] == pytest.approx(flops / 1e9, rel=1e-12)
     assert result.message == ""
+
+
+@pytest.mark.parametrize("order_max, reason", [(1, "bound plateaued"),
+                                               (2, "certified and flat")])
+def test_po_record_sums_its_orders(order_max, reason):
+    # po says why it stopped as the local methods do: the deciding order's
+    # reason, and the iterations and phase times of every order run.
+    result = run_method(cantilever(3), "po", SolveSettings(order_max=order_max))
+    rows = result.orders
+    assert len(rows) == order_max
+    assert result.reason == rows[-1]["sdp_reason"] == reason
+    assert result.iterations == sum(row["sdp_iterations"] for row in rows)
+    assert result.phase_s == {phase: sum(row["phase_s"][phase] for row in rows)
+                              for phase in ("scaling", "schur", "factor", "step", "metrics")}
 
 
 def test_run_method_po_without_a_design_fails(monkeypatch, capsys):
@@ -330,6 +361,9 @@ def test_run_method_po_without_a_design_fails(monkeypatch, capsys):
     assert result.compliance is None and result.orders == []
     assert result.message.startswith("no order yielded a design; order 1 skipped: ")
     assert result.message.endswith("exceeds the 10 limit")
+    # The record says why: the skipped order, and no SDP run.
+    assert result.reason == result.message.removeprefix("no order yielded a design; order 1 ")
+    assert (result.iterations, result.phase_s) == (0, {})
     code = main(["optimize", "cantilever-3", "--method", "po", "--order-max", "2"])
     assert code == EXIT_NUMERICAL
     out, err = capsys.readouterr()

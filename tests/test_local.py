@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 import scipy.optimize
 
 from frameopt import local, problems
-from frameopt.analysis import compliance, compliance_gradient
+from frameopt.analysis import SingularSystemError, compliance, compliance_gradient
 from frameopt.local import (
     BracketError,
     OcConfig,
@@ -474,6 +475,25 @@ def test_nlp_early_stop_reports_its_reason(monkeypatch):
     assert r.iterations < local.NLP_MAX_ITER
 
 
+def test_nlp_times_a_solve_that_raises_as_fem(monkeypatch):
+    # Every trial solve after the start fails; the time each took before
+    # raising still counts as equilibrium-solve time.
+    real = local.compliance
+    calls = []
+
+    def singular_after_start(gs, a):
+        calls.append(1)
+        if len(calls) == 1:
+            return real(gs, a)
+        time.sleep(0.002)
+        raise SingularSystemError("singular trial")
+
+    monkeypatch.setattr(local, "compliance", singular_after_start)
+    r = run_local_nlp(make_cantilever(3))
+    assert r.reason in ("line search failed", "singular system") and len(calls) > 1
+    assert r.phase_s["fem"] >= 0.002 * (len(calls) - 1)
+
+
 @pytest.mark.parametrize("runner", [run_oc, run_local_nlp, run_nsdp_local])
 def test_local_solve_assembles_once(runner, monkeypatch):
     # Each solver reuses the assembly its validation built.
@@ -488,6 +508,6 @@ def test_local_solve_assembles_once(runner, monkeypatch):
     result = runner(make_cantilever(1))
     assert len(calls) == 1
     # Every local result splits its wall time into FEM solves and the rest.
-    phases = result.diagnostics["phase_s"]
+    phases = result.phase_s
     assert set(phases) == {"fem", "rest"}
     assert phases["fem"] > 0.0 and phases["rest"] > 0.0

@@ -96,3 +96,11 @@ def test_wrong_area_count_rejected():
 def test_non_finite_areas_raise(bad):
     with pytest.raises(ValueError, match="areas must be finite"):
         render_svg(make_cantilever(3), [0.1, bad, 0.05])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1e-9])
+def test_bad_eps_raises(bad):
+    # A NaN threshold neither shows nor omits a member: every line would be
+    # drawn at width 0.
+    with pytest.raises(ValueError, match="eps must be non-negative and finite"):
+        render_svg(make_cantilever(3), [0.1, 0.1, 0.05], eps=bad)
